@@ -408,6 +408,57 @@ mod tests {
     }
 
     #[test]
+    fn repeated_queries_return_identical_bits() {
+        // The benchmark's input family: a locality small world with weights
+        // in [0.5, 0.6) and 3 of 12 uniform keywords per vertex. D(S) and
+        // every marginal gain are sums over influenced communities, so the
+        // same query must give the same picks and the same D(S) bits every
+        // time it runs.
+        use icde_graph::generators::{
+            assign_keywords, assign_uniform_weights, small_world, KeywordDistribution,
+            SmallWorldConfig, WeightRange,
+        };
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut rng = StdRng::seed_from_u64(404);
+        let mut g = small_world(&SmallWorldConfig::locality(2_000), &mut rng);
+        assign_uniform_weights(&mut g, WeightRange::paper_default(), &mut rng);
+        assign_keywords(&mut g, 12, 3, KeywordDistribution::Uniform, &mut rng);
+        let idx = IndexBuilder::new(PrecomputeConfig::new(2, vec![0.15, 0.3])).build(&g);
+        let processor = DTopLProcessor::new(&g, &idx);
+        let mut differing = Vec::new();
+        for i in 0..32usize {
+            let keywords = (0..2 + i % 3).map(|j| ((i * 5 + j * 7) % 12) as u32);
+            let base = TopLQuery::new(
+                KeywordSet::from_ids(keywords),
+                2 + (i / 3 % 2) as u32,
+                1 + (i / 6 % 2) as u32,
+                [0.15, 0.2, 0.25, 0.3][i % 4],
+                1 + i % 8,
+            );
+            let q = DTopLQuery::new(base, 3);
+            let first = processor.run(&q, DTopLStrategy::GreedyWithPruning).unwrap();
+            let again = processor.run(&q, DTopLStrategy::GreedyWithPruning).unwrap();
+            let picks = |a: &DTopLAnswer| -> Vec<_> {
+                a.communities
+                    .iter()
+                    .map(|c| (c.center, c.vertices.clone()))
+                    .collect()
+            };
+            if first.diversity_score.to_bits() != again.diversity_score.to_bits()
+                || picks(&first) != picks(&again)
+            {
+                differing.push(i);
+            }
+        }
+        assert!(
+            differing.is_empty(),
+            "queries {differing:?} changed on a repeat"
+        );
+    }
+
+    #[test]
     fn default_multiplier_is_three() {
         let q =
             DTopLQuery::with_default_multiplier(TopLQuery::with_defaults(KeywordSet::from_ids([

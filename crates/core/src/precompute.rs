@@ -69,7 +69,7 @@
 //! instead of tens of thousands.
 
 use crate::aggregate::{AggregateRef, AggregateTable, TableChunkMut, TableShadow};
-use crate::seed::extract_unconstrained_seed_community_with;
+use crate::seed::extract_seed_members;
 use icde_graph::snapshot::{FlatVec, SectionShadow};
 use icde_graph::traversal::bfs_within_into;
 use icde_graph::workspace::TraversalWorkspace;
@@ -1168,6 +1168,8 @@ struct WorkerScratch {
     ws_bfs: TraversalWorkspace,
     ws_inf: TraversalWorkspace,
     order: Vec<(VertexId, u32)>,
+    /// Members of the last extracted `X_all`, ascending.
+    members: Vec<VertexId>,
     sig_acc: Vec<u64>,
     sig: SignatureScratch,
 }
@@ -1178,6 +1180,7 @@ impl WorkerScratch {
             ws_bfs: TraversalWorkspace::new(),
             ws_inf: TraversalWorkspace::new(),
             order: Vec::new(),
+            members: Vec::new(),
             sig_acc: vec![0; config.signature_bits.div_ceil(64)],
             sig: SignatureScratch::new(),
         }
@@ -1198,6 +1201,7 @@ impl WorkerScratch {
             + self.ws_inf.scratch_bytes()
             + self.sig.allocated_bytes()
             + self.order.capacity() * std::mem::size_of::<(VertexId, u32)>()
+            + self.members.capacity() * std::mem::size_of::<VertexId>()
             + self.sig_acc.capacity() * std::mem::size_of::<u64>()
     }
 }
@@ -1513,20 +1517,24 @@ fn seed_bounds_vertex_into(
     let evaluator = InfluenceEvaluator::new(g, InfluenceConfig { theta: 0.0 });
     for r in 1..=config.r_max {
         let slot = &mut row[(r as usize - 1) * m..r as usize * m];
-        match extract_unconstrained_seed_community_with(
+        let members = &mut scratch.members;
+        if extract_seed_members(
             &mut scratch.ws_bfs,
             g,
             v,
             SEED_BOUND_SUPPORT,
             r,
+            None,
+            members,
         ) {
-            Some(community) => evaluator.multi_threshold_scores_into(
+            evaluator.multi_threshold_scores_into(
                 &mut scratch.ws_inf,
-                community.iter(),
+                members.iter().copied(),
                 &config.thresholds,
                 slot,
-            ),
-            None => slot.fill(NO_SEED_COMMUNITY),
+            );
+        } else {
+            slot.fill(NO_SEED_COMMUNITY);
         }
     }
 }

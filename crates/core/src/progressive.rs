@@ -22,6 +22,16 @@
 //! * refined vertex sets are cached by fingerprint, so duplicate maximal
 //!   communities (different centres, same set) cost one exact expansion.
 //!
+//! # Refinement cost
+//!
+//! Each refinement extracts the candidate's maximal seed community
+//! ([`crate::seed`]: one local CSR per ball, re-peeled incrementally),
+//! looks its member list up in the `AnswerCache` (a fingerprint map over
+//! one flat vertex pool) and, on a miss, scores it with
+//! [`InfluenceEvaluator::score_and_size`], which never materialises `g^Inf`.
+//! Only a community that enters the running top-`L` becomes a
+//! [`VertexSubset`].
+//!
 //! # Bit-identity with the eager reference
 //!
 //! The kernel must return *bit-identical* answers to the eager path under
@@ -61,7 +71,7 @@ use crate::index::{CommunityIndex, NodeRef};
 use crate::precompute::SEED_BOUND_SUPPORT;
 use crate::pruning;
 use crate::query::TopLQuery;
-use crate::seed::SeedCommunity;
+use crate::seed::{extract_seed_members, SeedCommunity};
 use crate::stats::PruningStats;
 use crate::topl::PruningToggles;
 use icde_graph::snapshot::{fnv1a, fnv1a_extend};
@@ -69,14 +79,14 @@ use icde_graph::workspace::{with_thread_workspace, TraversalWorkspace};
 use icde_graph::{SocialNetwork, VertexId, VertexSubset};
 use icde_influence::{InfluenceConfig, InfluenceEvaluator};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
-/// FNV-1a over the sorted vertex ids of a subset — the dedup key for "same
+/// FNV-1a over the sorted ids of a vertex set — the dedup key for "same
 /// community, different centre". Equal sets always hash equal (the slice is
 /// sorted); collisions are resolved by a full comparison at every use site.
-pub(crate) fn vertex_set_fingerprint(vertices: &VertexSubset) -> u64 {
+pub(crate) fn vertex_set_fingerprint(vertices: &[VertexId]) -> u64 {
     let mut h = fnv1a(b"icde-vertex-set-v1");
-    for v in vertices.as_slice() {
+    for v in vertices {
         h = fnv1a_extend(h, &v.0.to_le_bytes());
     }
     h
@@ -133,12 +143,65 @@ impl PartialOrd for Entry {
     }
 }
 
-/// One fully-verified community in the kernel's answer cache.
-struct CachedCommunity {
-    fingerprint: u64,
-    vertices: VertexSubset,
+/// Chain terminator of [`CacheEntry::next`].
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One verified community of the [`AnswerCache`].
+struct CacheEntry {
+    /// The members are `pool[start..start + len]`.
+    start: u32,
+    len: u32,
+    /// The previous entry with the same fingerprint, or [`NO_ENTRY`].
+    next: u32,
+    influenced_size: u32,
     score: f64,
-    influenced_size: usize,
+}
+
+/// The kernel's per-query answer cache: the exact `(σ, |g^Inf|)` of every
+/// distinct community verified so far, keyed by [`vertex_set_fingerprint`].
+/// All members live in one flat vertex pool; entries whose fingerprints
+/// collide are chained and compared in full, so a collision costs at most a
+/// second verification, never a wrong score.
+#[derive(Default)]
+struct AnswerCache {
+    /// Fingerprint → the newest entry with that fingerprint.
+    heads: HashMap<u64, u32>,
+    entries: Vec<CacheEntry>,
+    pool: Vec<VertexId>,
+}
+
+impl AnswerCache {
+    /// The cached `(score, influenced size)` of `members`; on a miss,
+    /// `verify` computes it and the cache stores it.
+    fn get_or_verify(
+        &mut self,
+        fingerprint: u64,
+        members: &[VertexId],
+        verify: impl FnOnce() -> (f64, usize),
+    ) -> (f64, usize) {
+        let head = self.heads.get(&fingerprint).copied().unwrap_or(NO_ENTRY);
+        let mut at = head;
+        while at != NO_ENTRY {
+            let entry = &self.entries[at as usize];
+            let start = entry.start as usize;
+            if self.pool[start..start + entry.len as usize] == *members {
+                return (entry.score, entry.influenced_size as usize);
+            }
+            at = entry.next;
+        }
+        let (score, influenced_size) = verify();
+        let index = u32::try_from(self.entries.len()).expect("fewer than 2^32 cached communities");
+        self.entries.push(CacheEntry {
+            start: u32::try_from(self.pool.len()).expect("cache pool below 2^32 vertices"),
+            len: u32::try_from(members.len()).expect("community below 2^32 vertices"),
+            next: head,
+            influenced_size: u32::try_from(influenced_size).expect("vertex ids fit in u32"),
+            score,
+        });
+        self.pool.extend_from_slice(members);
+        self.heads.insert(fingerprint, index);
+        (score, influenced_size)
+    }
 }
 
 /// A collected answer plus the canonical rank of the candidate that produced
@@ -188,32 +251,38 @@ impl RankedCollector {
         })
     }
 
-    fn insert(&mut self, rank: u32, fingerprint: u64, community: SeedCommunity) {
+    /// Offers one refined community; its [`VertexSubset`] is only built if
+    /// it enters the top `L`.
+    fn insert(
+        &mut self,
+        rank: u32,
+        fingerprint: u64,
+        center: VertexId,
+        members: &[VertexId],
+        score: f64,
+        influenced_size: usize,
+    ) {
         if let Some(pos) = self.entries.iter().position(|e| {
-            e.fingerprint == fingerprint && e.community.vertices == community.vertices
+            e.fingerprint == fingerprint && e.community.vertices.as_slice() == members
         }) {
             // Same vertex set: the score is a pure function of the set, so
             // in practice this is always a tie and only the rank (which
             // centre "owns" the community) can improve.
             let existing = &self.entries[pos];
-            let better = community.influential_score > existing.community.influential_score
-                || (community.influential_score == existing.community.influential_score
-                    && rank < existing.rank);
+            let better = score > existing.community.influential_score
+                || (score == existing.community.influential_score && rank < existing.rank);
             if better {
-                self.entries.remove(pos);
-                let at = self.position(community.influential_score, rank);
-                self.entries.insert(
-                    at,
-                    Ranked {
-                        rank,
-                        fingerprint,
-                        community,
-                    },
-                );
+                let mut entry = self.entries.remove(pos);
+                entry.rank = rank;
+                entry.community.center = center;
+                entry.community.influential_score = score;
+                entry.community.influenced_size = influenced_size;
+                let at = self.position(score, rank);
+                self.entries.insert(at, entry);
             }
             return;
         }
-        let at = self.position(community.influential_score, rank);
+        let at = self.position(score, rank);
         if at >= self.capacity {
             return; // L better-(score, rank) entries already exist
         }
@@ -222,7 +291,12 @@ impl RankedCollector {
             Ranked {
                 rank,
                 fingerprint,
-                community,
+                community: SeedCommunity {
+                    center,
+                    vertices: VertexSubset::from_iter(members.iter().copied()),
+                    influential_score: score,
+                    influenced_size,
+                },
             },
         );
         if self.entries.len() > self.capacity {
@@ -236,28 +310,23 @@ impl RankedCollector {
 }
 
 /// Runs the progressive kernel over one validated query.
-///
-/// Generic over the exact-refinement step: `refine` maps one candidate
-/// centre to its maximal seed community (or `None`), against the kernel's
-/// reused [`TraversalWorkspace`]. [`crate::topl::TopLProcessor`] passes
-/// keyword-constrained extraction; any future path with a different
-/// refinement (the D-TopL candidate stage rides through `TopLProcessor`)
-/// plugs in here without touching the traversal.
-pub(crate) fn run_progressive<F>(
+pub(crate) fn run_progressive(
     graph: &SocialNetwork,
     index: &CommunityIndex,
     query: &TopLQuery,
     toggles: PruningToggles,
-    mut refine: F,
-) -> (Vec<SeedCommunity>, PruningStats)
-where
-    F: FnMut(&mut TraversalWorkspace, VertexId) -> Option<VertexSubset>,
-{
+) -> (Vec<SeedCommunity>, PruningStats) {
     let mut stats = PruningStats::new();
     let query_signature = query.keyword_signature(index.signature_bits());
     let evaluator = InfluenceEvaluator::new(graph, InfluenceConfig { theta: query.theta });
-    let mut collector = RankedCollector::new(query.l);
-    let mut cache: Vec<CachedCommunity> = Vec::new();
+    let mut refinement = Refinement {
+        graph,
+        query,
+        evaluator,
+        collector: RankedCollector::new(query.l),
+        cache: AnswerCache::default(),
+        members: Vec::new(),
+    };
     // The offline seed bounds are computed at support SEED_BOUND_SUPPORT;
     // they only dominate communities of queries at least that demanding.
     let use_seed_bound = query.support >= SEED_BOUND_SUPPORT;
@@ -283,7 +352,7 @@ where
             // Termination must be strict (see the module docs): every open
             // bound below sigma_L is provably outside the answer, a tie is
             // not.
-            if toggles.score && entry.key() < collector.sigma_l() {
+            if toggles.score && entry.key() < refinement.collector.sigma_l() {
                 stats.early_termination_pops += 1;
                 stats.early_terminated_entries += heap.len();
                 break;
@@ -308,7 +377,7 @@ where
                                 stats.bound_tightenings += 1;
                             }
                             let key = scan.keys[vi];
-                            if toggles.score && key < collector.sigma_l() {
+                            if toggles.score && key < refinement.collector.sigma_l() {
                                 stats.candidate_score_pruned += 1;
                                 continue;
                             }
@@ -323,18 +392,8 @@ where
                             // invariant), it only spends a few extra exact
                             // verifications — all of which the eager path
                             // performs too.
-                            if toggles.score && !collector.is_full() {
-                                refine_candidate(
-                                    ws,
-                                    &mut refine,
-                                    &evaluator,
-                                    query,
-                                    rank,
-                                    v,
-                                    &mut collector,
-                                    &mut cache,
-                                    &mut stats,
-                                );
+                            if toggles.score && !refinement.collector.is_full() {
+                                refinement.refine(ws, rank, v, &mut stats);
                             } else {
                                 heap.push(Entry::Candidate {
                                     key,
@@ -367,7 +426,7 @@ where
                                 continue;
                             }
                             let bound = index.node_score_bound(child, query.radius, query.theta);
-                            if toggles.score && bound < collector.sigma_l() {
+                            if toggles.score && bound < refinement.collector.sigma_l() {
                                 stats.index_score_pruned += 1;
                                 continue;
                             }
@@ -379,23 +438,13 @@ where
                     }
                 },
                 Entry::Candidate { rank, center, .. } => {
-                    refine_candidate(
-                        ws,
-                        &mut refine,
-                        &evaluator,
-                        query,
-                        rank,
-                        center,
-                        &mut collector,
-                        &mut cache,
-                        &mut stats,
-                    );
+                    refinement.refine(ws, rank, center, &mut stats);
                 }
             }
         }
     });
 
-    (collector.into_sorted(), stats)
+    (refinement.collector.into_sorted(), stats)
 }
 
 /// Pruned by the keyword signature — no region vertex carries any query
@@ -473,60 +522,53 @@ fn scan_candidates(
     CandidateScan { tags, keys }
 }
 
-/// Exactly refines one candidate centre: extract its maximal seed community,
-/// look the vertex set up in the answer cache (one exact influence expansion
-/// per *distinct* community), and offer the result to the collector under
-/// the candidate's canonical rank.
-#[allow(clippy::too_many_arguments)]
-fn refine_candidate<F>(
-    ws: &mut TraversalWorkspace,
-    refine: &mut F,
-    evaluator: &InfluenceEvaluator<'_>,
-    query: &TopLQuery,
-    rank: u32,
-    center: VertexId,
-    collector: &mut RankedCollector,
-    cache: &mut Vec<CachedCommunity>,
-    stats: &mut PruningStats,
-) where
-    F: FnMut(&mut TraversalWorkspace, VertexId) -> Option<VertexSubset>,
-{
-    match refine(ws, center) {
-        None => stats.candidates_without_community += 1,
-        Some(vertices) => {
-            stats.candidates_refined += 1;
-            let fingerprint = vertex_set_fingerprint(&vertices);
-            let (score, influenced_size) = match cache
-                .iter()
-                .find(|c| c.fingerprint == fingerprint && c.vertices == vertices)
-            {
-                Some(hit) => (hit.score, hit.influenced_size),
-                None => {
-                    stats.exact_verifications += 1;
-                    let influenced =
-                        evaluator.influenced_community_with_theta_in(ws, &vertices, query.theta);
-                    let score = influenced.influential_score();
-                    let influenced_size = influenced.len();
-                    cache.push(CachedCommunity {
-                        fingerprint,
-                        vertices: vertices.clone(),
-                        score,
-                        influenced_size,
-                    });
-                    (score, influenced_size)
-                }
-            };
-            collector.insert(
-                rank,
-                fingerprint,
-                SeedCommunity {
-                    center,
-                    vertices,
-                    influential_score: score,
-                    influenced_size,
-                },
-            );
+/// The exact-refinement step and the state it feeds: the running top-`L`,
+/// the answer cache and a reused member buffer.
+struct Refinement<'a> {
+    graph: &'a SocialNetwork,
+    query: &'a TopLQuery,
+    evaluator: InfluenceEvaluator<'a>,
+    collector: RankedCollector,
+    cache: AnswerCache,
+    /// Members of the community extracted last, ascending.
+    members: Vec<VertexId>,
+}
+
+impl Refinement<'_> {
+    /// Exactly refines one candidate centre: extract its maximal seed
+    /// community, look the member list up in the answer cache (one exact
+    /// influence expansion per *distinct* community), and offer the result
+    /// to the collector under the candidate's canonical rank.
+    fn refine(
+        &mut self,
+        ws: &mut TraversalWorkspace,
+        rank: u32,
+        center: VertexId,
+        stats: &mut PruningStats,
+    ) {
+        let query = self.query;
+        let members = &mut self.members;
+        if !extract_seed_members(
+            ws,
+            self.graph,
+            center,
+            query.support,
+            query.radius,
+            Some(&query.keywords),
+            members,
+        ) {
+            stats.candidates_without_community += 1;
+            return;
         }
+        stats.candidates_refined += 1;
+        let fingerprint = vertex_set_fingerprint(members);
+        let evaluator = &self.evaluator;
+        let (score, influenced_size) = self.cache.get_or_verify(fingerprint, members, || {
+            stats.exact_verifications += 1;
+            evaluator.score_and_size(ws, members, query.theta)
+        });
+        self.collector
+            .insert(rank, fingerprint, center, members, score, influenced_size);
     }
 }
 
@@ -544,8 +586,16 @@ mod tests {
     }
 
     fn insert(c: &mut RankedCollector, rank: u32, sc: SeedCommunity) {
-        let fp = vertex_set_fingerprint(&sc.vertices);
-        c.insert(rank, fp, sc);
+        let members = sc.vertices.as_slice();
+        let fp = vertex_set_fingerprint(members);
+        c.insert(
+            rank,
+            fp,
+            sc.center,
+            members,
+            sc.influential_score,
+            sc.influenced_size,
+        );
     }
 
     #[test]
@@ -553,8 +603,46 @@ mod tests {
         let a: VertexSubset = [3u32, 1, 2].iter().map(|i| VertexId(*i)).collect();
         let b: VertexSubset = [1u32, 2, 3].iter().map(|i| VertexId(*i)).collect();
         let c: VertexSubset = [1u32, 2, 4].iter().map(|i| VertexId(*i)).collect();
-        assert_eq!(vertex_set_fingerprint(&a), vertex_set_fingerprint(&b));
-        assert_ne!(vertex_set_fingerprint(&a), vertex_set_fingerprint(&c));
+        assert_eq!(
+            vertex_set_fingerprint(a.as_slice()),
+            vertex_set_fingerprint(b.as_slice())
+        );
+        assert_ne!(
+            vertex_set_fingerprint(a.as_slice()),
+            vertex_set_fingerprint(c.as_slice())
+        );
+    }
+
+    #[test]
+    fn answer_cache_keeps_colliding_sets_apart() {
+        // two distinct sets under one forged fingerprint: both are stored
+        // and found, and a repeat of either is a hit, so the number of exact
+        // verifications equals the number of distinct sets
+        let a = [VertexId(1), VertexId(2), VertexId(3)];
+        let b = [VertexId(4), VertexId(5)];
+        let c = [VertexId(1), VertexId(2)];
+        let forged = 0xdead_beef;
+        let mut cache = AnswerCache::default();
+        let mut stats = PruningStats::new();
+        let mut lookup = |members: &[VertexId], fingerprint: u64| {
+            cache.get_or_verify(fingerprint, members, || {
+                stats.exact_verifications += 1;
+                (members.len() as f64 + 0.5, members.len() * 10)
+            })
+        };
+        for (members, fingerprint) in [
+            (&a[..], forged),
+            (&b[..], forged),
+            (&a[..], forged),
+            (&c[..], vertex_set_fingerprint(&c)),
+            (&b[..], forged),
+            (&c[..], vertex_set_fingerprint(&c)),
+        ] {
+            let (score, size) = lookup(members, fingerprint);
+            assert_eq!(score, members.len() as f64 + 0.5, "{members:?}");
+            assert_eq!(size, members.len() * 10, "{members:?}");
+        }
+        assert_eq!(stats.exact_verifications, 3);
     }
 
     #[test]

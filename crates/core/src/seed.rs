@@ -15,13 +15,12 @@
 //! around this centre, so the fixpoint is the maximal valid community (or
 //! nothing if the centre itself is eliminated).
 
-use icde_graph::traversal::{
-    hop_distances_within_subset, hop_distances_within_subset_with, hop_subgraph_with,
-};
+use icde_graph::traversal::{bfs_within_into, hop_distances_within_subset};
 use icde_graph::workspace::{with_thread_workspace, TraversalWorkspace};
 use icde_graph::{KeywordSet, SocialNetwork, VertexId, VertexSubset};
-use icde_truss::ktruss::maximal_ktruss;
+use icde_truss::ktruss::{maximal_ktruss, KTrussPeel};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// A fully-refined seed community together with its influential score.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,16 +62,13 @@ pub fn extract_seed_community(
     radius: u32,
     query_keywords: &KeywordSet,
 ) -> Option<VertexSubset> {
-    // The refinement loop runs one BFS per fixpoint round; borrow the
-    // thread workspace once instead of once per traversal.
     with_thread_workspace(|ws| {
         extract_seed_community_with(ws, g, center, support, radius, query_keywords)
     })
 }
 
-/// [`extract_seed_community`] against a caller-owned workspace, for callers
-/// (the progressive kernel, the offline engine) that refine many centres in a
-/// row and want zero per-candidate workspace churn.
+/// [`extract_seed_community`] against a caller-owned workspace (used for the
+/// r-hop ball's BFS).
 pub fn extract_seed_community_with(
     ws: &mut TraversalWorkspace,
     g: &SocialNetwork,
@@ -81,7 +77,7 @@ pub fn extract_seed_community_with(
     radius: u32,
     query_keywords: &KeywordSet,
 ) -> Option<VertexSubset> {
-    extract_seed_community_in(ws, g, center, support, radius, Some(query_keywords))
+    extract_subset(ws, g, center, support, radius, Some(query_keywords))
 }
 
 /// The keyword-*unconstrained* maximal seed community `X_all(center; k, r)`:
@@ -99,12 +95,10 @@ pub fn extract_unconstrained_seed_community_with(
     support: u32,
     radius: u32,
 ) -> Option<VertexSubset> {
-    extract_seed_community_in(ws, g, center, support, radius, None)
+    extract_subset(ws, g, center, support, radius, None)
 }
 
-/// Shared extraction fixpoint; `query_keywords: None` skips the keyword
-/// filter entirely (the `X_all` variant used by the offline seed bounds).
-fn extract_seed_community_in(
+fn extract_subset(
     ws: &mut TraversalWorkspace,
     g: &SocialNetwork,
     center: VertexId,
@@ -112,50 +106,176 @@ fn extract_seed_community_in(
     radius: u32,
     query_keywords: Option<&KeywordSet>,
 ) -> Option<VertexSubset> {
+    let mut members = Vec::new();
+    extract_seed_members(ws, g, center, support, radius, query_keywords, &mut members)
+        .then(|| VertexSubset::from_iter(members))
+}
+
+/// The extraction fixpoint behind every public entry point: writes the
+/// maximal community's members into `out` in ascending id order and returns
+/// `true`, or leaves `out` empty and returns `false` when there is none.
+/// `query_keywords: None` skips the keyword filter (the `X_all` variant the
+/// offline seed bounds use). The progressive kernel and the offline engine
+/// call it directly and never build a [`VertexSubset`] for a refinement.
+pub(crate) fn extract_seed_members(
+    ws: &mut TraversalWorkspace,
+    g: &SocialNetwork,
+    center: VertexId,
+    support: u32,
+    radius: u32,
+    query_keywords: Option<&KeywordSet>,
+    out: &mut Vec<VertexId>,
+) -> bool {
+    out.clear();
     if !g.contains_vertex(center) {
-        return None;
+        return false;
     }
     // The centre itself must satisfy the keyword constraint.
     if let Some(q) = query_keywords {
         if !g.keyword_set(center).intersects(q) {
-            return None;
+            return false;
         }
     }
+    // `run` calls nothing that could extract again, so the borrow is never
+    // re-entrant
+    THREAD_EXTRACTOR.with(|cell| {
+        cell.borrow_mut()
+            .run(ws, g, center, support, radius, query_keywords, out)
+    })
+}
 
-    // Start from the r-hop ball and keep only keyword-qualified vertices.
-    let ball = hop_subgraph_with(ws, g, center, radius);
-    let mut candidate = match query_keywords {
-        Some(q) => VertexSubset::from_iter(ball.iter().filter(|v| g.keyword_set(*v).intersects(q))),
-        None => ball,
-    };
+thread_local! {
+    /// One set of extraction buffers per thread, grown to the largest ball
+    /// the thread has refined and reused from then on.
+    static THREAD_EXTRACTOR: RefCell<Extractor> = RefCell::new(Extractor::default());
+}
 
-    loop {
+/// Reusable buffers of the extraction fixpoint.
+#[derive(Debug, Default)]
+struct Extractor {
+    /// The r-hop ball in BFS order.
+    ball: Vec<(VertexId, u32)>,
+    /// Keyword-qualified ball members, ascending: the first candidate set.
+    candidate: Vec<VertexId>,
+    /// The k-truss peel over the candidate set's local view.
+    peel: KTrussPeel,
+    /// Per local vertex: still a candidate.
+    live: Vec<bool>,
+    /// Per local vertex: in the centre's surviving component this round.
+    in_component: Vec<bool>,
+    /// Per local vertex: in the component and within `radius` of the centre.
+    within: Vec<bool>,
+    /// DFS stack / BFS queue of local vertices with their hop distance.
+    queue: Vec<(u32, u32)>,
+}
+
+impl Extractor {
+    /// Alternates three monotone reductions until nothing changes: keyword
+    /// filtering (once, on the ball), k-truss peeling, and trimming to the
+    /// centre's surviving component within `radius` hops.
+    ///
+    /// The local view is built once. A round that trims vertices removes
+    /// them from the peel, which re-peels incrementally to exactly the
+    /// maximal k-truss of the smaller set (see [`KTrussPeel`]). The radius
+    /// is measured over *every* induced edge among the component's
+    /// vertices, peeled ones included, as in Definition 2's `dist` inside
+    /// the community's vertex set.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        ws: &mut TraversalWorkspace,
+        g: &SocialNetwork,
+        center: VertexId,
+        support: u32,
+        radius: u32,
+        query_keywords: Option<&KeywordSet>,
+        out: &mut Vec<VertexId>,
+    ) -> bool {
+        let Extractor {
+            ball,
+            candidate,
+            peel,
+            live,
+            in_component,
+            within,
+            queue,
+        } = self;
+        bfs_within_into(ws, g, center, radius, ball);
+        candidate.clear();
+        candidate.extend(
+            ball.iter()
+                .map(|&(v, _)| v)
+                .filter(|&v| query_keywords.is_none_or(|q| g.keyword_set(v).intersects(q))),
+        );
         if candidate.len() <= 1 {
-            return None;
+            return false;
         }
-        // k-truss peel restricted to the candidate set; keep the connected
-        // component containing the centre.
-        let peel = maximal_ktruss(g, &candidate, support);
-        let component = peel.component_containing(center)?;
-
-        // Radius constraint *inside* the community: trim vertices farther
-        // than r hops from the centre (or unreachable within the component).
-        let distances = hop_distances_within_subset_with(ws, g, &component, center);
-        let within: VertexSubset = distances
-            .distances
-            .iter()
-            .filter(|(_, d)| *d <= radius)
-            .map(|(v, _)| *v)
-            .collect();
-
-        if within.len() == component.len() && within == candidate {
-            return Some(within);
+        candidate.sort_unstable();
+        peel.peel(g, candidate, support);
+        let local = peel.local();
+        let n = local.num_vertices();
+        let c = local
+            .local(center)
+            .expect("the qualified centre lies in its own ball");
+        live.clear();
+        live.resize(n, true);
+        let mut live_count = n;
+        loop {
+            // the centre's component through surviving truss edges
+            if !peel.has_alive_edge(c) {
+                return false;
+            }
+            let local = peel.local();
+            in_component.clear();
+            in_component.resize(n, false);
+            in_component[c] = true;
+            queue.clear();
+            queue.push((c as u32, 0));
+            while let Some((u, _)) = queue.pop() {
+                for &(w, e) in local.neighbors(u as usize) {
+                    if peel.is_edge_alive(e as usize) && !in_component[w as usize] {
+                        in_component[w as usize] = true;
+                        queue.push((w, 0));
+                    }
+                }
+            }
+            // radius trim: BFS from the centre over every local edge between
+            // component members, to depth `radius`
+            within.clear();
+            within.resize(n, false);
+            within[c] = true;
+            let mut within_count = 1;
+            queue.clear();
+            queue.push((c as u32, 0));
+            let mut head = 0;
+            while head < queue.len() {
+                let (u, d) = queue[head];
+                head += 1;
+                if d == radius {
+                    continue;
+                }
+                for &(w, _) in local.neighbors(u as usize) {
+                    let w = w as usize;
+                    if in_component[w] && !within[w] {
+                        within[w] = true;
+                        within_count += 1;
+                        queue.push((w as u32, d + 1));
+                    }
+                }
+            }
+            // `within ⊆ component ⊆ candidates`: equal sizes mean a fixpoint
+            if within_count == live_count {
+                out.extend((0..n).filter(|&u| within[u]).map(|u| local.global(u)));
+                return true;
+            }
+            if within_count <= 1 {
+                return false;
+            }
+            // drop every candidate outside `within` and re-peel what is left
+            peel.remove_vertices((0..n).filter(|&u| live[u] && !within[u]));
+            std::mem::swap(live, within);
+            live_count = within_count;
         }
-        if within.len() <= 1 {
-            return None;
-        }
-        // Some vertices were trimmed; re-run the peel on the smaller set.
-        candidate = within;
     }
 }
 

@@ -42,12 +42,12 @@ pub struct PruningStats {
     /// Diversity-score re-computations avoided by the lazy-greedy pruning
     /// rule (Lemma 9) during DTopL-ICDE refinement.
     pub diversity_pruned: usize,
-    /// Exact refinements actually *expanded* by the progressive kernel —
-    /// `extract_seed_community` + exact `influenced_community` runs.
-    /// `candidates_refined` additionally counts refinements answered from the
-    /// kernel's community cache, so `exact_verifications ≤
-    /// candidates_refined` always holds; the eager path performs every
-    /// refinement for real and keeps the two equal.
+    /// Exact influence expansions (`σ` and `|g^Inf|` of one extracted
+    /// community) the query ran. Every refinement extracts its community;
+    /// the progressive kernel then expands each *distinct* vertex set once
+    /// per query and answers repeats from its answer cache, so
+    /// `exact_verifications ≤ candidates_refined` always holds. The eager
+    /// path expands every refinement and keeps the two equal.
     pub exact_verifications: usize,
     /// Candidate bounds tightened cheaply (seed-community bound beneath the
     /// region bound) without running an exact verification.

@@ -28,7 +28,7 @@ use crate::index::{CommunityIndex, NodeRef};
 use crate::progressive::{run_progressive, vertex_set_fingerprint};
 use crate::pruning;
 use crate::query::TopLQuery;
-use crate::seed::{extract_seed_community, extract_seed_community_with, SeedCommunity};
+use crate::seed::{extract_seed_community, SeedCommunity};
 use crate::stats::PruningStats;
 use icde_graph::{SocialNetwork, VertexId};
 use icde_influence::{InfluenceConfig, InfluenceEvaluator};
@@ -198,7 +198,7 @@ impl TopLCollector {
     }
 
     fn insert(&mut self, candidate: SeedCommunity) {
-        let fingerprint = vertex_set_fingerprint(&candidate.vertices);
+        let fingerprint = vertex_set_fingerprint(candidate.vertices.as_slice());
         if let Some(pos) = self
             .fingerprints
             .iter()
@@ -261,17 +261,7 @@ impl<'a> TopLProcessor<'a> {
         let query = &self.validate(query)?;
         let start = Instant::now();
         let graph = self.graph;
-        let (communities, stats) =
-            run_progressive(graph, self.index, query, toggles, |ws, center| {
-                extract_seed_community_with(
-                    ws,
-                    graph,
-                    center,
-                    query.support,
-                    query.radius,
-                    &query.keywords,
-                )
-            });
+        let (communities, stats) = run_progressive(graph, self.index, query, toggles);
         Ok(TopLAnswer {
             communities,
             stats,

@@ -9,6 +9,9 @@
 //! [`DiversityState`] keeps the running per-vertex maximum, so the marginal
 //! gain of a candidate — `ΔD_g(S) = D(S ∪ {g}) − D(S)` — is computed in time
 //! proportional to the candidate's influenced community, not to `|S|`.
+//! Every sum walks the communities in the given order and each community in
+//! its expansion order ([`InfluencedCommunity::iter`]), never a hash map's,
+//! so scores and gains repeat bit for bit.
 
 use crate::influenced::InfluencedCommunity;
 use icde_graph::{VertexId, Weight};
@@ -17,18 +20,15 @@ use std::collections::HashMap;
 /// The diversity score `D(S)` of a set of influenced communities (Eq. (6)).
 ///
 /// Vertices outside every influenced community contribute 0 (their `cpp` is
-/// below the threshold for every selected community).
+/// below the threshold for every selected community). Folds the communities
+/// into a [`DiversityState`] in order, so the result has the same bits as
+/// the state the greedy builds from the same picks.
 pub fn diversity_score(communities: &[&InfluencedCommunity]) -> Weight {
-    let mut best: HashMap<VertexId, Weight> = HashMap::new();
+    let mut state = DiversityState::new();
     for community in communities {
-        for (v, p) in community.iter() {
-            let entry = best.entry(v).or_insert(0.0);
-            if p > *entry {
-                *entry = p;
-            }
-        }
+        state.add(community);
     }
-    best.values().sum()
+    state.score()
 }
 
 /// The marginal gain `ΔD_g(S)` of adding `candidate` to the set whose

@@ -23,7 +23,6 @@
 use icde_graph::workspace::{with_thread_workspace, TraversalWorkspace};
 use icde_graph::{SocialNetwork, VertexId, VertexSubset, Weight};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Parameters of influence evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,8 +57,9 @@ impl Default for InfluenceConfig {
 /// community-to-user propagation probability.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InfluencedCommunity {
-    /// `cpp(g, v)` for every vertex of `g^Inf` (seed members map to 1.0).
-    cpp: HashMap<VertexId, Weight>,
+    /// `(v, cpp(g, v))` for every vertex of `g^Inf` in expansion
+    /// (first-touch) order: the seed members first, at 1.0.
+    members: Vec<(VertexId, Weight)>,
     /// Number of seed vertices.
     seed_size: usize,
     /// Threshold used during expansion.
@@ -72,13 +72,13 @@ pub struct InfluencedCommunity {
 impl InfluencedCommunity {
     /// Number of vertices in `g^Inf` (seed members included).
     pub fn len(&self) -> usize {
-        self.cpp.len()
+        self.members.len()
     }
 
     /// Returns `true` if the influenced community is empty (only possible for
     /// an empty seed).
     pub fn is_empty(&self) -> bool {
-        self.cpp.is_empty()
+        self.members.is_empty()
     }
 
     /// Number of seed vertices.
@@ -88,7 +88,7 @@ impl InfluencedCommunity {
 
     /// Number of influenced vertices outside the seed.
     pub fn influenced_only_count(&self) -> usize {
-        self.cpp.len() - self.seed_size
+        self.members.len() - self.seed_size
     }
 
     /// The threshold `θ` the community was expanded with.
@@ -96,34 +96,39 @@ impl InfluencedCommunity {
         self.theta
     }
 
-    /// `cpp(g, v)`, or 0.0 if `v` is outside the influenced community.
+    /// `cpp(g, v)`, or 0.0 if `v` is outside the influenced community. A
+    /// linear scan over `g^Inf`.
     pub fn cpp(&self, v: VertexId) -> Weight {
-        self.cpp.get(&v).copied().unwrap_or(0.0)
+        self.members
+            .iter()
+            .find(|(u, _)| *u == v)
+            .map_or(0.0, |&(_, p)| p)
     }
 
-    /// Returns `true` if `v` belongs to `g^Inf`.
+    /// Returns `true` if `v` belongs to `g^Inf`. A linear scan over `g^Inf`.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.cpp.contains_key(&v)
+        self.members.iter().any(|(u, _)| *u == v)
     }
 
-    /// Iterates over `(vertex, cpp)` pairs in unspecified order.
+    /// Iterates over `(vertex, cpp)` pairs in expansion (first-touch) order,
+    /// which the seed and the graph fully determine: every sum over this
+    /// iterator (diversity scores, marginal gains) repeats bit for bit.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.cpp.iter().map(|(v, p)| (*v, *p))
+        self.members.iter().copied()
     }
 
     /// The influential score `σ(g)` (Eq. (5)): the sum of all `cpp` values.
     ///
     /// The value is accumulated during the expansion in deterministic
     /// (bucket-drain) order, so the same seed community always yields the
-    /// exact same floating-point score regardless of hash-map iteration
-    /// order.
+    /// exact same floating-point score.
     pub fn influential_score(&self) -> Weight {
         self.score
     }
 
     /// The vertex set of `g^Inf`.
     pub fn vertex_set(&self) -> VertexSubset {
-        VertexSubset::from_iter(self.cpp.keys().copied())
+        VertexSubset::from_iter(self.members.iter().map(|(v, _)| *v))
     }
 
     /// Number of vertices shared with another influenced community.
@@ -133,7 +138,12 @@ impl InfluencedCommunity {
         } else {
             (other, self)
         };
-        small.cpp.keys().filter(|v| large.contains(**v)).count()
+        let large = large.vertex_set();
+        small
+            .members
+            .iter()
+            .filter(|(v, _)| large.contains(*v))
+            .count()
     }
 }
 
@@ -192,9 +202,44 @@ impl<'g> InfluenceEvaluator<'g> {
         seed: &VertexSubset,
         theta: Weight,
     ) -> InfluencedCommunity {
+        let score = self.expand(ws, seed.as_slice(), theta);
+        InfluencedCommunity {
+            members: ws.touched().iter().map(|&v| (v, ws.prob(v))).collect(),
+            seed_size: seed.len(),
+            theta,
+            score,
+        }
+    }
+
+    /// `(σ(g), |g^Inf|)` of the seed with members `seed` (distinct ids, in
+    /// ascending order for the score to match
+    /// [`influenced_community_with_theta_in`] bit for bit), without
+    /// materialising `g^Inf`: the progressive kernel's exact verification.
+    ///
+    /// [`influenced_community_with_theta_in`]:
+    /// InfluenceEvaluator::influenced_community_with_theta_in
+    pub fn score_and_size(
+        &self,
+        ws: &mut TraversalWorkspace,
+        seed: &[VertexId],
+        theta: Weight,
+    ) -> (Weight, usize) {
+        let score = self.expand(ws, seed, theta);
+        (score, ws.touched().len())
+    }
+
+    /// The expansion behind [`score_and_size`] and
+    /// [`influenced_community_with_theta_in`]: leaves `cpp` of every vertex
+    /// of `g^Inf` in `ws` (in first-touch order, [`TraversalWorkspace::touched`])
+    /// and returns `σ(g)` accumulated in expansion order.
+    ///
+    /// [`score_and_size`]: InfluenceEvaluator::score_and_size
+    /// [`influenced_community_with_theta_in`]:
+    /// InfluenceEvaluator::influenced_community_with_theta_in
+    fn expand(&self, ws: &mut TraversalWorkspace, seed: &[VertexId], theta: Weight) -> Weight {
         ws.begin(self.graph.num_vertices());
         let mut score = 0.0;
-        for v in seed.iter() {
+        for &v in seed {
             ws.set_prob(v, 1.0);
             score += 1.0;
             ws.bucket_push(1.0, v);
@@ -209,13 +254,12 @@ impl<'g> InfluenceEvaluator<'g> {
                 continue; // settled: an equal duplicate was already expanded
             }
             for (n, p) in self.graph.outgoing(vertex) {
-                if seed.contains(n) {
-                    continue; // members already have cpp = 1
-                }
                 let candidate = probability * p;
                 if candidate < theta || candidate <= 0.0 {
                     continue;
                 }
+                // members sit at 1.0 and every stored edge probability lies
+                // in [0, 1], so `candidate > current` never touches them
                 let current = ws.prob(n);
                 if candidate > current {
                     ws.set_prob(n, candidate);
@@ -224,16 +268,7 @@ impl<'g> InfluenceEvaluator<'g> {
                 }
             }
         }
-        let mut cpp: HashMap<VertexId, Weight> = HashMap::with_capacity(ws.touched().len());
-        for &v in ws.touched() {
-            cpp.insert(v, ws.prob(v));
-        }
-        InfluencedCommunity {
-            cpp,
-            seed_size: seed.len(),
-            theta,
-            score,
-        }
+        score
     }
 
     /// The influential score `σ(g)` of a seed community (Eq. (5)).

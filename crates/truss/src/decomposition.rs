@@ -192,7 +192,7 @@ mod tests {
         for k in 2..=d.max_trussness() {
             let peel = maximal_ktruss(&g, &all, k);
             for e in 0..g.num_edges() {
-                let survives = peel.edge_alive[local_edge_for_global(&peel, &g, e)];
+                let survives = peel.is_edge_alive(local_edge_for_global(&peel, &g, e));
                 let by_trussness = d.edge_trussness[e] >= k;
                 assert_eq!(survives, by_trussness, "k={k} edge={e}");
             }
@@ -208,11 +208,12 @@ mod tests {
         e: usize,
     ) -> usize {
         let (u, v) = g.edge_endpoints(EdgeId::from_index(e));
-        let lu = peel.local.local(u).unwrap();
-        let lv = peel.local.local(v).unwrap();
-        (0..peel.local.num_edges())
+        let local = peel.local();
+        let lu = local.local(u).unwrap();
+        let lv = local.local(v).unwrap();
+        (0..local.num_edges())
             .find(|&le| {
-                let (a, b) = peel.local.edge(le);
+                let (a, b) = local.edge(le);
                 (a == lu && b == lv) || (a == lv && b == lu)
             })
             .expect("edge exists in local view")

@@ -10,31 +10,148 @@
 
 use crate::local::LocalSubgraph;
 use icde_graph::{SocialNetwork, VertexId, VertexSubset};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
 
-/// Result of a k-truss peel over one region: the surviving edges and the
-/// local view they refer to.
-#[derive(Debug)]
+/// The maximal k-truss of one region, kept as live peel state over a
+/// reusable [`LocalSubgraph`]: which local edges survive and how many
+/// surviving triangles each surviving edge closes.
+///
+/// [`KTrussPeel::peel`] computes the maximal k-truss of an induced subgraph;
+/// [`KTrussPeel::remove_vertices`] then shrinks the region and re-peels only
+/// what the removal touches. The result equals a fresh peel of the smaller
+/// region: for `W ⊆ V` the maximal k-truss of `induced(W)` lies inside that
+/// of `induced(V)`, so cascading from the current truss after deleting the
+/// removed vertices' edges reaches the same unique fixpoint.
+#[derive(Debug, Clone, Default)]
 pub struct KTrussPeel {
     /// Local view of the peeled region.
-    pub local: LocalSubgraph,
-    /// `edge_alive[e]` — whether local edge `e` survived the peel.
-    pub edge_alive: Vec<bool>,
+    local: LocalSubgraph,
+    /// Support requirement `k − 2`.
+    required: u32,
+    /// `edge_alive[e]` — whether local edge `e` survives.
+    edge_alive: Vec<bool>,
+    /// For every surviving edge, the number of triangles whose three edges
+    /// all survive.
+    supports: Vec<u32>,
+    /// Edges ever queued for removal; each is queued at most once.
+    queued: Vec<bool>,
+    /// Edges queued and not yet removed.
+    queue: Vec<u32>,
+    /// Per-vertex scratch of the support count.
+    mark: Vec<u32>,
 }
 
 impl KTrussPeel {
-    /// Vertices with at least one surviving incident edge, as a global subset.
-    pub fn surviving_vertices(&self) -> VertexSubset {
-        let mut alive = vec![false; self.local.num_vertices()];
-        for e in 0..self.local.num_edges() {
-            if self.edge_alive[e] {
-                let (u, v) = self.local.edge(e);
-                alive[u] = true;
-                alive[v] = true;
+    /// Peels the subgraph of `g` induced by `vertices` (strictly ascending)
+    /// down to its maximal k-truss, reusing this value's buffers.
+    ///
+    /// `k < 2` is treated as `k = 2` (every edge trivially satisfies a
+    /// support requirement of zero).
+    pub fn peel(&mut self, g: &SocialNetwork, vertices: &[VertexId], k: u32) {
+        self.local.rebuild(g, vertices);
+        self.local
+            .count_supports(&mut self.supports, &mut self.mark);
+        let required = k.saturating_sub(2);
+        self.required = required;
+        self.edge_alive.clear();
+        self.edge_alive.resize(self.supports.len(), true);
+        self.queued.clear();
+        self.queued
+            .extend(self.supports.iter().map(|&s| s < required));
+        self.queue.clear();
+        for (e, &queued) in self.queued.iter().enumerate() {
+            if queued {
+                self.queue.push(e as u32);
             }
         }
+        self.drain();
+    }
+
+    /// Removes local vertices from the region and re-peels: afterwards the
+    /// surviving edges are the maximal k-truss of the subgraph induced by
+    /// the remaining vertices.
+    pub fn remove_vertices(&mut self, locals: impl IntoIterator<Item = usize>) {
+        for u in locals {
+            for &(_, e) in self.local.neighbors(u) {
+                let e = e as usize;
+                if self.edge_alive[e] && !self.queued[e] {
+                    self.queued[e] = true;
+                    self.queue.push(e as u32);
+                }
+            }
+        }
+        self.drain();
+    }
+
+    /// Removes every queued edge. Deleting edge `{u, v}` breaks each
+    /// surviving triangle `(u, v, w)`, so the other two edges each lose one
+    /// support and are queued once they fall below the requirement.
+    fn drain(&mut self) {
+        let KTrussPeel {
+            local,
+            required,
+            edge_alive,
+            supports,
+            queued,
+            queue,
+            ..
+        } = self;
+        while let Some(e) = queue.pop() {
+            let e = e as usize;
+            debug_assert!(edge_alive[e], "an edge is queued at most once");
+            edge_alive[e] = false;
+            let (u, v) = local.edge(e);
+            let (a, b) = (local.neighbors(u), local.neighbors(v));
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < a.len() && j < b.len() {
+                match a[i].0.cmp(&b[j].0) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        let (e_uw, e_vw) = (a[i].1 as usize, b[j].1 as usize);
+                        if edge_alive[e_uw] && edge_alive[e_vw] {
+                            for other in [e_uw, e_vw] {
+                                // the broken triangle was counted, so the
+                                // support is at least one
+                                supports[other] -= 1;
+                                if supports[other] < *required && !queued[other] {
+                                    queued[other] = true;
+                                    queue.push(other as u32);
+                                }
+                            }
+                        }
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Local view of the peeled region.
+    pub fn local(&self) -> &LocalSubgraph {
+        &self.local
+    }
+
+    /// Whether local edge `e` survived the peel.
+    #[inline]
+    pub fn is_edge_alive(&self, e: usize) -> bool {
+        self.edge_alive[e]
+    }
+
+    /// Whether local vertex `u` keeps at least one surviving edge.
+    #[inline]
+    pub fn has_alive_edge(&self, u: usize) -> bool {
         self.local
-            .to_global_subset((0..self.local.num_vertices()).filter(|&v| alive[v]))
+            .neighbors(u)
+            .iter()
+            .any(|&(_, e)| self.edge_alive[e as usize])
+    }
+
+    /// Vertices with at least one surviving incident edge, as a global subset.
+    pub fn surviving_vertices(&self) -> VertexSubset {
+        self.local
+            .to_global_subset((0..self.local.num_vertices()).filter(|&u| self.has_alive_edge(u)))
     }
 
     /// Number of surviving edges.
@@ -42,37 +159,34 @@ impl KTrussPeel {
         self.edge_alive.iter().filter(|a| **a).count()
     }
 
+    /// Local vertices reachable from `start` through surviving edges,
+    /// marking each in `seen`.
+    fn reach(&self, start: usize, seen: &mut [bool]) -> Vec<usize> {
+        let mut component = Vec::new();
+        let mut stack = vec![start];
+        seen[start] = true;
+        while let Some(u) = stack.pop() {
+            component.push(u);
+            for &(w, e) in self.local.neighbors(u) {
+                let w = w as usize;
+                if self.edge_alive[e as usize] && !seen[w] {
+                    seen[w] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        component
+    }
+
     /// Connected components of the surviving subgraph (vertices connected by
     /// surviving edges), largest first.
     pub fn components(&self) -> Vec<VertexSubset> {
-        let n = self.local.num_vertices();
-        let mut vertex_alive = vec![false; n];
-        for e in 0..self.local.num_edges() {
-            if self.edge_alive[e] {
-                let (u, v) = self.local.edge(e);
-                vertex_alive[u] = true;
-                vertex_alive[v] = true;
-            }
-        }
-        let mut seen = vec![false; n];
+        let mut seen = vec![false; self.local.num_vertices()];
         let mut components = Vec::new();
-        for start in 0..n {
-            if !vertex_alive[start] || seen[start] {
-                continue;
+        for start in 0..self.local.num_vertices() {
+            if !seen[start] && self.has_alive_edge(start) {
+                components.push(self.local.to_global_subset(self.reach(start, &mut seen)));
             }
-            let mut component = Vec::new();
-            let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(u) = stack.pop() {
-                component.push(u);
-                for &(w, e) in self.local.neighbors(u) {
-                    if self.edge_alive[e] && !seen[w] {
-                        seen[w] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            components.push(self.local.to_global_subset(component));
         }
         components.sort_by_key(|c| std::cmp::Reverse(c.len()));
         components
@@ -81,28 +195,11 @@ impl KTrussPeel {
     /// The component containing `center`, if the centre survived the peel.
     pub fn component_containing(&self, center: VertexId) -> Option<VertexSubset> {
         let start = self.local.local(center)?;
-        let incident_alive = self
-            .local
-            .neighbors(start)
-            .iter()
-            .any(|&(_, e)| self.edge_alive[e]);
-        if !incident_alive {
+        if !self.has_alive_edge(start) {
             return None;
         }
         let mut seen = vec![false; self.local.num_vertices()];
-        let mut component = Vec::new();
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(u) = stack.pop() {
-            component.push(u);
-            for &(w, e) in self.local.neighbors(u) {
-                if self.edge_alive[e] && !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        Some(self.local.to_global_subset(component))
+        Some(self.local.to_global_subset(self.reach(start, &mut seen)))
     }
 }
 
@@ -111,42 +208,9 @@ impl KTrussPeel {
 /// `k < 2` is treated as `k = 2` (every edge trivially satisfies a support
 /// requirement of zero).
 pub fn maximal_ktruss(g: &SocialNetwork, subset: &VertexSubset, k: u32) -> KTrussPeel {
-    let local = LocalSubgraph::new(g, subset);
-    let required = k.saturating_sub(2);
-    let mut edge_alive = vec![true; local.num_edges()];
-    let mut supports = local.edge_supports(None, None);
-
-    let mut queue: VecDeque<usize> = (0..local.num_edges())
-        .filter(|&e| supports[e] < required)
-        .collect();
-    let mut queued: Vec<bool> = (0..local.num_edges())
-        .map(|e| supports[e] < required)
-        .collect();
-
-    while let Some(e) = queue.pop_front() {
-        if !edge_alive[e] {
-            continue;
-        }
-        edge_alive[e] = false;
-        let (u, v) = local.edge(e);
-        // Every triangle (u, v, w) that used edge e loses one triangle on its
-        // other two edges; requeue them if they fall below the requirement.
-        let alive_edge = |x: usize| edge_alive[x];
-        let alive_vertex = |_: usize| true;
-        for (_w, e_uw, e_vw) in local.common_alive_neighbors(u, v, &alive_edge, &alive_vertex) {
-            for other in [e_uw, e_vw] {
-                if edge_alive[other] && supports[other] > 0 {
-                    supports[other] -= 1;
-                    if supports[other] < required && !queued[other] {
-                        queued[other] = true;
-                        queue.push_back(other);
-                    }
-                }
-            }
-        }
-    }
-
-    KTrussPeel { local, edge_alive }
+    let mut peel = KTrussPeel::default();
+    peel.peel(g, subset.as_slice(), k);
+    peel
 }
 
 /// Connected components of the maximal k-truss of the region, largest first.
@@ -171,9 +235,10 @@ pub fn connected_ktruss_containing(
 /// connectivity; combine with [`VertexSubset::is_connected`].
 pub fn is_ktruss(g: &SocialNetwork, subset: &VertexSubset, k: u32) -> bool {
     let required = k.saturating_sub(2);
-    let local = LocalSubgraph::new(g, subset);
-    let supports = local.edge_supports(None, None);
-    supports.into_iter().all(|s| s >= required)
+    LocalSubgraph::new(g, subset)
+        .edge_supports()
+        .into_iter()
+        .all(|s| s >= required)
 }
 
 #[cfg(test)]
@@ -271,6 +336,60 @@ mod tests {
         let with_pendant = VertexSubset::from_iter([5, 6, 7, 8].map(VertexId));
         assert!(!is_ktruss(&g, &with_pendant, 3));
         assert!(is_ktruss(&g, &VertexSubset::new(), 7));
+    }
+
+    /// Surviving edges of a peel as sorted global endpoint pairs.
+    fn surviving_edges(peel: &KTrussPeel) -> Vec<(VertexId, VertexId)> {
+        let local = peel.local();
+        let mut edges: Vec<_> = (0..local.num_edges())
+            .filter(|&e| peel.is_edge_alive(e))
+            .map(|e| {
+                let (u, v) = local.edge(e);
+                (local.global(u), local.global(v))
+            })
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    #[test]
+    fn removing_vertices_matches_a_fresh_peel() {
+        use icde_graph::generators::{small_world, SmallWorldConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = small_world(&SmallWorldConfig::paper_default(60), &mut rng);
+        let all: Vec<VertexId> = g.vertices().collect();
+        for k in 2..=5 {
+            let mut peel = KTrussPeel::default();
+            peel.peel(&g, &all, k);
+            let mut remaining = all.clone();
+            // shrink the region in three rounds, re-peeling incrementally
+            for _ in 0..3 {
+                let (gone, kept): (Vec<VertexId>, Vec<VertexId>) =
+                    remaining.iter().partition(|_| rng.gen_bool(0.2));
+                let gone: Vec<usize> = gone
+                    .iter()
+                    .map(|&v| peel.local().local(v).unwrap())
+                    .collect();
+                peel.remove_vertices(gone);
+                remaining = kept;
+                let fresh =
+                    maximal_ktruss(&g, &VertexSubset::from_iter(remaining.iter().copied()), k);
+                assert_eq!(surviving_edges(&peel), surviving_edges(&fresh), "k={k}");
+            }
+        }
+        // the hand-built graph: dropping vertex 6 breaks the only triangle
+        // of {5, 6, 7}, so the 3-truss keeps the K5 alone
+        let g = layered_graph();
+        let mut peel = maximal_ktruss(&g, &all_vertices(&g), 3);
+        let six = peel.local().local(VertexId(6)).unwrap();
+        peel.remove_vertices([six]);
+        assert_eq!(
+            peel.surviving_vertices().as_slice(),
+            &[0, 1, 2, 3, 4].map(VertexId)
+        );
     }
 
     #[test]

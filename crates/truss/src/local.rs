@@ -6,53 +6,91 @@
 //! [`SocialNetwork`] would pay a membership test on every adjacency scan, so
 //! [`LocalSubgraph`] translates the region once into dense local indices:
 //! vertices become `0..n_local`, edges become `0..m_local`, and the peeling
-//! loops run on plain vectors.
+//! loops run on one flat CSR.
+//!
+//! Local ids follow the ascending order of the global ids, so the
+//! global→local translation is a binary search over the sorted vertex slice
+//! and every adjacency row comes out sorted without a sort. A
+//! [`KTrussPeel`](crate::ktruss::KTrussPeel) rebuilds its view in place for
+//! every region it peels, so a caller that peels thousands of regions in a
+//! row (the seed-community extractor) allocates only while the buffers grow.
 
 use icde_graph::{SocialNetwork, VertexId, VertexSubset};
-use std::collections::HashMap;
 
 /// A dense, index-translated copy of the subgraph induced by a vertex subset.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalSubgraph {
-    /// Global id of each local vertex (`local index → global id`).
+    /// Global id of each local vertex (`local index → global id`), ascending.
     globals: Vec<VertexId>,
-    /// Reverse mapping (`global id → local index`).
-    local_of: HashMap<VertexId, usize>,
-    /// Local adjacency: for each local vertex, sorted `(local neighbour, local edge)` pairs.
-    adjacency: Vec<Vec<(usize, usize)>>,
-    /// Local edge table: `(local u, local v)` with `u < v` (by local index).
-    edges: Vec<(usize, usize)>,
+    /// Row bounds: the neighbours of local vertex `u` are
+    /// `adjacency[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<u32>,
+    /// `(local neighbour, local edge)` pairs, each row in ascending
+    /// neighbour order.
+    adjacency: Vec<(u32, u32)>,
+    /// Local edge table: `(local u, local v)` with `u < v`.
+    edges: Vec<(u32, u32)>,
 }
 
 impl LocalSubgraph {
     /// Builds the local view of the subgraph of `g` induced by `subset`.
     pub fn new(g: &SocialNetwork, subset: &VertexSubset) -> Self {
-        let globals: Vec<VertexId> = subset.iter().collect();
-        let local_of: HashMap<VertexId, usize> =
-            globals.iter().enumerate().map(|(i, v)| (*v, i)).collect();
-        let mut adjacency = vec![Vec::new(); globals.len()];
-        let mut edges = Vec::new();
-        for (&global_u, &lu) in local_of.iter() {
-            for (global_v, _) in g.neighbors(global_u) {
-                if global_u < global_v {
-                    if let Some(&lv) = local_of.get(&global_v) {
-                        let (a, b) = if lu < lv { (lu, lv) } else { (lv, lu) };
-                        let eid = edges.len();
-                        edges.push((a, b));
-                        adjacency[a].push((b, eid));
-                        adjacency[b].push((a, eid));
-                    }
-                }
-            }
-        }
-        for list in &mut adjacency {
-            list.sort_unstable();
-        }
-        LocalSubgraph {
+        let mut local = LocalSubgraph::default();
+        local.rebuild(g, subset.as_slice());
+        local
+    }
+
+    /// Rebuilds this view in place over the subgraph of `g` induced by
+    /// `vertices`, reusing the buffers of the previous region.
+    ///
+    /// # Panics
+    /// Panics if `vertices` is not strictly ascending (the binary-search
+    /// translation depends on it).
+    pub(crate) fn rebuild(&mut self, g: &SocialNetwork, vertices: &[VertexId]) {
+        assert!(
+            vertices.windows(2).all(|w| w[0] < w[1]),
+            "local view needs strictly ascending vertex ids"
+        );
+        let LocalSubgraph {
             globals,
-            local_of,
+            offsets,
             adjacency,
             edges,
+        } = self;
+        globals.clear();
+        globals.extend_from_slice(vertices);
+        offsets.clear();
+        adjacency.clear();
+        edges.clear();
+        offsets.push(0);
+        for (lu, &global_u) in vertices.iter().enumerate() {
+            let lu = lu as u32;
+            // neighbours arrive in ascending global order, so each lookup
+            // only needs to search past the previous hit
+            let mut from = 0usize;
+            for (global_v, _) in g.neighbors(global_u) {
+                from += vertices[from..].partition_point(|&x| x < global_v);
+                if from == vertices.len() {
+                    break;
+                }
+                if vertices[from] != global_v {
+                    continue;
+                }
+                let lv = from as u32;
+                let eid = if lu < lv {
+                    edges.push((lu, lv));
+                    edges.len() as u32 - 1
+                } else {
+                    // the row of `lv < lu` is complete: the edge already has
+                    // its id there
+                    let row = &adjacency
+                        [offsets[lv as usize] as usize..offsets[lv as usize + 1] as usize];
+                    let at = row.partition_point(|&(w, _)| w < lu);
+                    row[at].1
+                };
+                adjacency.push((lv, eid));
+            }
+            offsets.push(adjacency.len() as u32);
         }
     }
 
@@ -75,104 +113,68 @@ impl LocalSubgraph {
     /// Local index of a global vertex (if it belongs to the subgraph).
     #[inline]
     pub fn local(&self, v: VertexId) -> Option<usize> {
-        self.local_of.get(&v).copied()
+        self.globals.binary_search(&v).ok()
     }
 
-    /// Local endpoints of local edge `e`.
+    /// Local endpoints of local edge `e`, lower index first.
     #[inline]
     pub fn edge(&self, e: usize) -> (usize, usize) {
-        self.edges[e]
+        let (u, v) = self.edges[e];
+        (u as usize, v as usize)
     }
 
     /// Sorted local adjacency of vertex `local` as `(neighbour, edge)` pairs.
     #[inline]
-    pub fn neighbors(&self, local: usize) -> &[(usize, usize)] {
-        &self.adjacency[local]
+    pub fn neighbors(&self, local: usize) -> &[(u32, u32)] {
+        &self.adjacency[self.offsets[local] as usize..self.offsets[local + 1] as usize]
     }
 
     /// Local degree of a vertex.
     #[inline]
     pub fn degree(&self, local: usize) -> usize {
-        self.adjacency[local].len()
+        (self.offsets[local + 1] - self.offsets[local]) as usize
     }
 
-    /// Computes the support (triangle count) of every local edge, considering
-    /// only alive edges/vertices. `None` masks mean everything is alive.
-    ///
-    /// `edge_alive` and `vertex_alive`, when provided, must have lengths
-    /// `num_edges()` / `num_vertices()`.
-    pub fn edge_supports(
-        &self,
-        edge_alive: Option<&[bool]>,
-        vertex_alive: Option<&[bool]>,
-    ) -> Vec<u32> {
-        let alive_edge = |e: usize| edge_alive.is_none_or(|m| m[e]);
-        let alive_vertex = |v: usize| vertex_alive.is_none_or(|m| m[v]);
-        let mut supports = vec![0u32; self.edges.len()];
-        for (e, &(u, v)) in self.edges.iter().enumerate() {
-            if !alive_edge(e) || !alive_vertex(u) || !alive_vertex(v) {
-                continue;
-            }
-            supports[e] = self.count_common_alive(u, v, &alive_edge, &alive_vertex);
-        }
+    /// Computes the support (triangle count) of every local edge.
+    pub fn edge_supports(&self) -> Vec<u32> {
+        let mut supports = Vec::new();
+        self.count_supports(&mut supports, &mut Vec::new());
         supports
     }
 
-    /// Counts common neighbours of `u` and `v` reachable through alive edges
-    /// and alive vertices (the support of edge `{u, v}` in the peeled graph).
-    pub fn count_common_alive(
-        &self,
-        u: usize,
-        v: usize,
-        alive_edge: &dyn Fn(usize) -> bool,
-        alive_vertex: &dyn Fn(usize) -> bool,
-    ) -> u32 {
-        let (a, b) = (&self.adjacency[u], &self.adjacency[v]);
-        let (mut i, mut j, mut count) = (0usize, 0usize, 0u32);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let w = a[i].0;
-                    if alive_vertex(w) && alive_edge(a[i].1) && alive_edge(b[j].1) {
-                        count += 1;
+    /// Fills `supports` with the triangle count of every local edge, using
+    /// `mark` (grown as needed, left all-zero) as a per-vertex scratch.
+    ///
+    /// Each triangle `u < v < w` is found once, from its lowest vertex: the
+    /// neighbours of `u` are stamped with their edge ids, then every
+    /// higher neighbour `v` scans its own higher neighbours for stamps.
+    pub(crate) fn count_supports(&self, supports: &mut Vec<u32>, mark: &mut Vec<u32>) {
+        supports.clear();
+        supports.resize(self.edges.len(), 0);
+        if mark.len() < self.globals.len() {
+            mark.resize(self.globals.len(), 0);
+        }
+        for u in 0..self.globals.len() {
+            let row_u = self.neighbors(u);
+            for &(w, e) in row_u {
+                mark[w as usize] = e + 1;
+            }
+            let higher_u = &row_u[row_u.partition_point(|&(w, _)| (w as usize) < u)..];
+            for &(v, e_uv) in higher_u {
+                let row_v = self.neighbors(v as usize);
+                for &(w, e_vw) in &row_v[row_v.partition_point(|&(x, _)| x <= v)..] {
+                    let stamp = mark[w as usize];
+                    if stamp != 0 {
+                        supports[e_uv as usize] += 1;
+                        supports[e_vw as usize] += 1;
+                        supports[stamp as usize - 1] += 1;
                     }
-                    i += 1;
-                    j += 1;
                 }
             }
-        }
-        count
-    }
-
-    /// Lists the common alive neighbours of `u` and `v` together with the
-    /// connecting edge ids `(w, edge u-w, edge v-w)`.
-    pub fn common_alive_neighbors(
-        &self,
-        u: usize,
-        v: usize,
-        alive_edge: &dyn Fn(usize) -> bool,
-        alive_vertex: &dyn Fn(usize) -> bool,
-    ) -> Vec<(usize, usize, usize)> {
-        let (a, b) = (&self.adjacency[u], &self.adjacency[v]);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut out = Vec::new();
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let w = a[i].0;
-                    if alive_vertex(w) && alive_edge(a[i].1) && alive_edge(b[j].1) {
-                        out.push((w, a[i].1, b[j].1));
-                    }
-                    i += 1;
-                    j += 1;
-                }
+            for &(w, _) in row_u {
+                mark[w as usize] = 0;
             }
         }
-        out
     }
 
     /// Converts a set of local vertex indices back to a global
@@ -210,6 +212,13 @@ mod tests {
             assert_eq!(local.degree(l), 3);
             let v = local.global(l);
             assert_eq!(local.local(v), Some(l));
+            // rows are sorted and every entry names the edge back to `l`
+            let row = local.neighbors(l);
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
+            for &(w, e) in row {
+                let (a, b) = local.edge(e as usize);
+                assert!((a, b) == (l, w as usize) || (a, b) == (w as usize, l));
+            }
         }
         assert_eq!(local.local(VertexId(0)), None);
     }
@@ -219,28 +228,22 @@ mod tests {
         let g = clique_graph();
         let subset = VertexSubset::from_iter([1, 2, 3, 4].map(VertexId));
         let local = LocalSubgraph::new(&g, &subset);
-        let sup = local.edge_supports(None, None);
+        let sup = local.edge_supports();
         // every edge of K4 is in exactly 2 triangles
         assert!(sup.iter().all(|&s| s == 2), "{sup:?}");
     }
 
     #[test]
     fn supports_respect_masks() {
+        // a rebuilt view over fewer vertices drops every triangle through
+        // the vertex left out: the remaining triangle has support 1 per edge
         let g = clique_graph();
-        let subset = VertexSubset::from_iter([1, 2, 3, 4].map(VertexId));
-        let local = LocalSubgraph::new(&g, &subset);
-        // kill one vertex: remaining triangle has support 1 per edge
-        let mut vertex_alive = vec![true; local.num_vertices()];
-        let killed = local.local(VertexId(4)).unwrap();
-        vertex_alive[killed] = false;
-        let sup = local.edge_supports(None, Some(&vertex_alive));
-        for (e, &(u, v)) in local.edges.iter().enumerate() {
-            if u == killed || v == killed {
-                assert_eq!(sup[e], 0);
-            } else {
-                assert_eq!(sup[e], 1);
-            }
-        }
+        let mut local =
+            LocalSubgraph::new(&g, &VertexSubset::from_iter([1, 2, 3, 4].map(VertexId)));
+        local.rebuild(&g, &[1, 2, 3].map(VertexId));
+        assert_eq!(local.num_edges(), 3);
+        assert_eq!(local.local(VertexId(4)), None);
+        assert!(local.edge_supports().iter().all(|&s| s == 1));
     }
 
     #[test]
@@ -248,14 +251,11 @@ mod tests {
         let g = clique_graph();
         let subset = VertexSubset::from_iter([0, 1, 2].map(VertexId));
         let local = LocalSubgraph::new(&g, &subset);
-        let sup = local.edge_supports(None, None);
-        let pendant = local
-            .edges
-            .iter()
-            .position(|&(u, v)| {
-                let gu = local.global(u);
-                let gv = local.global(v);
-                (gu == VertexId(0)) || (gv == VertexId(0))
+        let sup = local.edge_supports();
+        let pendant = (0..local.num_edges())
+            .position(|e| {
+                let (u, v) = local.edge(e);
+                local.global(u) == VertexId(0) || local.global(v) == VertexId(0)
             })
             .unwrap();
         assert_eq!(sup[pendant], 0);

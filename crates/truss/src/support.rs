@@ -31,8 +31,7 @@ pub fn edge_supports_in_subset(
     subset: &VertexSubset,
 ) -> (Vec<u32>, LocalSubgraph) {
     let local = LocalSubgraph::new(g, subset);
-    let supports = local.edge_supports(None, None);
-    (supports, local)
+    (local.edge_supports(), local)
 }
 
 /// Maximum edge support inside the subgraph induced by `subset`
