@@ -260,8 +260,7 @@ impl<'a> TopLProcessor<'a> {
     ) -> CoreResult<TopLAnswer> {
         let query = &self.validate(query)?;
         let start = Instant::now();
-        let graph = self.graph;
-        let (communities, stats) = run_progressive(graph, self.index, query, toggles);
+        let (communities, stats) = run_progressive(self.graph, self.index, query, toggles);
         Ok(TopLAnswer {
             communities,
             stats,

@@ -48,22 +48,24 @@ impl KTrussPeel {
     /// `k < 2` is treated as `k = 2` (every edge trivially satisfies a
     /// support requirement of zero).
     pub fn peel(&mut self, g: &SocialNetwork, vertices: &[VertexId], k: u32) {
-        self.local.rebuild(g, vertices);
-        self.local
-            .count_supports(&mut self.supports, &mut self.mark);
-        let required = k.saturating_sub(2);
-        self.required = required;
-        self.edge_alive.clear();
-        self.edge_alive.resize(self.supports.len(), true);
-        self.queued.clear();
-        self.queued
-            .extend(self.supports.iter().map(|&s| s < required));
-        self.queue.clear();
-        for (e, &queued) in self.queued.iter().enumerate() {
-            if queued {
-                self.queue.push(e as u32);
-            }
-        }
+        let KTrussPeel {
+            local,
+            required,
+            edge_alive,
+            supports,
+            queued,
+            queue,
+            mark,
+        } = self;
+        local.rebuild(g, vertices);
+        local.count_supports(supports, mark);
+        *required = k.saturating_sub(2);
+        edge_alive.clear();
+        edge_alive.resize(supports.len(), true);
+        queued.clear();
+        queued.extend(supports.iter().map(|&s| s < *required));
+        queue.clear();
+        queue.extend((0..supports.len() as u32).filter(|&e| queued[e as usize]));
         self.drain();
     }
 
