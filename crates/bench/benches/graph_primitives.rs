@@ -5,9 +5,8 @@
 //! triangle counting via sorted-slice intersection (truss supports, Lemma 3),
 //! and single-source best-probability Dijkstra (MIA `upp`, Eqs. 1–3). This
 //! bench tracks them on the paper-default 50k-vertex small-world graph so CSR
-//! regressions surface immediately; `BENCH_2.json` (written by
-//! `experiments bench2`) records the trajectory against the PR-1
-//! adjacency-list baseline.
+//! regressions surface immediately; the archived `BENCH_2.json` records the
+//! trajectory against the earlier adjacency-list store.
 //!
 //! Run: `cargo bench -p icde-bench --bench graph_primitives`
 //! CI smoke: `cargo bench -p icde-bench --bench graph_primitives -- --test`

@@ -24,6 +24,12 @@ use icde_bench::report::{seconds, Table};
 use icde_bench::workload::Workload;
 use icde_graph::generators::DatasetKind;
 
+/// Every experiment name `main` dispatches on.
+const EXPERIMENTS: [&str; 19] = [
+    "table2", "offline", "fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g",
+    "fig3h", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "all",
+];
+
 struct Options {
     experiments: Vec<String>,
     scale: usize,
@@ -31,11 +37,6 @@ struct Options {
     include_optimal: bool,
     json: bool,
     seed: u64,
-    /// `None` means each bench's own full scale ([`SNAPSHOT_SCALE`] for
-    /// bench3–bench8, [`BENCH9_SCALE`] for bench9).
-    bench_scale: Option<usize>,
-    /// Shard count for bench9 (defaults to the bench's worker count).
-    shards: Option<usize>,
 }
 
 fn parse_options() -> Options {
@@ -46,8 +47,6 @@ fn parse_options() -> Options {
         include_optimal: false,
         json: false,
         seed: 20240614,
-        bench_scale: None,
-        shards: None,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -67,22 +66,6 @@ fn parse_options() -> Options {
                     std::process::exit(2);
                 });
             }
-            "--bench-scale" => {
-                i += 1;
-                options.bench_scale =
-                    Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--bench-scale requires a number");
-                        std::process::exit(2);
-                    }));
-            }
-            "--shards" => {
-                i += 1;
-                options.shards =
-                    Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--shards requires a number");
-                        std::process::exit(2);
-                    }));
-            }
             "--seed" => {
                 i += 1;
                 options.seed = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -101,7 +84,12 @@ fn parse_options() -> Options {
                 print_usage();
                 std::process::exit(2);
             }
-            name => options.experiments.push(name.to_string()),
+            name if EXPERIMENTS.contains(&name) => options.experiments.push(name.to_string()),
+            other => {
+                eprintln!("unknown experiment {other}");
+                print_usage();
+                std::process::exit(2);
+            }
         }
         i += 1;
     }
@@ -113,67 +101,8 @@ fn parse_options() -> Options {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments [table2|fig2|fig3a..fig3h|fig4|fig5|fig6a..fig6e|offline|bench2|bench3|bench4|bench5|bench6|bench7|bench8|bench9|all]... \
-         [--scale N] [--max-scale N] [--bench-scale N] [--shards N] [--optimal] [--json] [--seed N]"
-    );
-    eprintln!(
-        "  bench2: time the CSR graph primitives on the 50k small-world graph and \
-         write the BENCH_2.json perf snapshot (not part of `all`)"
-    );
-    eprintln!(
-        "  bench3: time the TraversalWorkspace-backed primitives, verify checksums \
-         against the pre-workspace reference implementations and write the \
-         BENCH_3.json perf snapshot (not part of `all`). --bench-scale N shrinks \
-         the graph for smoke runs, writing BENCH_3_smoke.json instead"
-    );
-    eprintln!(
-        "  bench4: time JSON vs binary-snapshot loading of the graph + tree index \
-         (mmap zero-copy and buffered fallback), verify every loader is bit-identical \
-         and write the BENCH_4.json perf snapshot (not part of `all`). --bench-scale N \
-         shrinks the graph for smoke runs, writing BENCH_4_smoke.json instead"
-    );
-    eprintln!(
-        "  bench5: time the offline pre-computation engine (frontier-incremental, \
-         one expansion for all thresholds, work-stealing scatter) against the \
-         in-tree reference path, verify the tables are bit-identical (scores \
-         within 1e-9) and write the BENCH_5.json perf snapshot (not part of \
-         `all`). --bench-scale N shrinks the graph for smoke runs, writing \
-         BENCH_5_smoke.json instead"
-    );
-    eprintln!(
-        "  bench6: time the progressive bound-driven online TopL engine against \
-         the eager reference formulation of Algorithm 3, verify the answers are \
-         bit-identical and write the BENCH_6.json perf snapshot (not part of \
-         `all`). --bench-scale N shrinks the graph for smoke runs, writing \
-         BENCH_6_smoke.json instead"
-    );
-    eprintln!(
-        "  bench7: serve a Zipf-skewed query stream through the concurrent \
-         runtime (worker pool, hot snapshot swap, canonicalised query LRU) at \
-         one worker vs a multi-worker pool, verify every answer bit-identical \
-         to the single-threaded kernel and write the BENCH_7.json perf snapshot \
-         (not part of `all`). --bench-scale N shrinks the graph for smoke runs, \
-         writing BENCH_7_smoke.json instead"
-    );
-    eprintln!(
-        "  bench8: drive a sustained Zipf insert/delete edge stream through \
-         the delta-overlay maintenance loop (overlay patches, affected-ball \
-         refresh, compaction) sequentially and then concurrently against the \
-         serving runtime, verify every interleaved answer bit-identical to a \
-         from-scratch rebuild at the same logical graph state and write the \
-         BENCH_8.json perf snapshot (not part of `all`). --bench-scale N \
-         shrinks the graph for smoke runs, writing BENCH_8_smoke.json instead"
-    );
-    eprintln!(
-        "  bench9: build the sharded offline engine on a 1,000,000-vertex \
-         locality small-world graph (contiguous vertex-range shards, \
-         ball-cover-sized per-worker scratch, shard-affine work stealing), \
-         verify the sharded build bit-identical to the sequential unsharded \
-         engine before timing, record per-phase wall times + peak RSS + \
-         measured-vs-naive worker scratch, and write the BENCH_9.json perf \
-         snapshot (not part of `all`). --bench-scale N shrinks the graph for \
-         smoke runs, writing BENCH_9_smoke.json instead; --shards N overrides \
-         the shard count (default 16)"
+        "usage: experiments [table2|fig2|fig3a..fig3h|fig4|fig5|fig6a..fig6e|offline|all]... \
+         [--scale N] [--max-scale N] [--optimal] [--json] [--seed N]"
     );
 }
 
@@ -222,11 +151,6 @@ fn scalability_sizes(max_scale: usize) -> Vec<usize> {
 
 fn main() {
     let options = parse_options();
-    // bench3–bench8 archive at SNAPSHOT_SCALE; bench9's full scale is the
-    // million-vertex line
-    let bench_scale = options
-        .bench_scale
-        .unwrap_or(icde_bench::perf::SNAPSHOT_SCALE);
     let params = ExperimentParams::at_scale(options.scale).with_seed(options.seed);
     println!(
         "# TopL-ICDE experiment harness — scale {} vertices, seed {}\n",
@@ -235,158 +159,6 @@ fn main() {
 
     let run_all = options.experiments.iter().any(|e| e == "all");
     let wants = |name: &str| run_all || options.experiments.iter().any(|e| e == name);
-
-    // The perf snapshot runs a fixed-scale workload and writes a file, so it
-    // is opt-in only (not part of `all`).
-    if options.experiments.iter().any(|e| e == "bench2") {
-        println!("# bench2: timing graph primitives on the 50k small-world graph ...");
-        let json = icde_bench::perf::bench2_snapshot_json();
-        std::fs::write("BENCH_2.json", &json).expect("write BENCH_2.json");
-        println!("{json}");
-        println!("\nwrote BENCH_2.json");
-    }
-
-    if options.experiments.iter().any(|e| e == "bench3") {
-        println!(
-            "# bench3: timing workspace-backed graph primitives on the {}-vertex \
-             small-world graph (checksums verified against reference implementations) ...",
-            bench_scale
-        );
-        let json = icde_bench::perf::bench3_snapshot_json(bench_scale);
-        // smoke runs at reduced scale must not clobber the archived snapshot
-        let path = if bench_scale == icde_bench::perf::SNAPSHOT_SCALE {
-            "BENCH_3.json"
-        } else {
-            "BENCH_3_smoke.json"
-        };
-        std::fs::write(path, &json).expect("write BENCH_3 snapshot");
-        println!("{json}");
-        println!("\nwrote {path}");
-    }
-
-    if options.experiments.iter().any(|e| e == "bench4") {
-        println!(
-            "# bench4: timing JSON vs binary-snapshot loading of the {}-vertex \
-             small-world graph + index (fingerprints verified bit-identical across \
-             all loaders) ...",
-            bench_scale
-        );
-        let json = icde_bench::perf::bench4_snapshot_json(bench_scale);
-        // smoke runs at reduced scale must not clobber the archived snapshot
-        let path = if bench_scale == icde_bench::perf::SNAPSHOT_SCALE {
-            "BENCH_4.json"
-        } else {
-            "BENCH_4_smoke.json"
-        };
-        std::fs::write(path, &json).expect("write BENCH_4 snapshot");
-        println!("{json}");
-        println!("\nwrote {path}");
-    }
-
-    if options.experiments.iter().any(|e| e == "bench5") {
-        println!(
-            "# bench5: timing the offline pre-computation engine overhaul on the \
-             {}-vertex small-world graph (reference vs engine, tables verified \
-             bit-identical) ...",
-            bench_scale
-        );
-        let json = icde_bench::perf::bench5_snapshot_json(bench_scale);
-        // smoke runs at reduced scale must not clobber the archived snapshot
-        let path = if bench_scale == icde_bench::perf::SNAPSHOT_SCALE {
-            "BENCH_5.json"
-        } else {
-            "BENCH_5_smoke.json"
-        };
-        std::fs::write(path, &json).expect("write BENCH_5 snapshot");
-        println!("{json}");
-        println!("\nwrote {path}");
-    }
-
-    if options.experiments.iter().any(|e| e == "bench6") {
-        println!(
-            "# bench6: timing the progressive online TopL engine on the {}-vertex \
-             small-world graph (answers verified bit-identical to the eager \
-             reference) ...",
-            bench_scale
-        );
-        let json = icde_bench::perf::bench6_snapshot_json(bench_scale);
-        // smoke runs at reduced scale must not clobber the archived snapshot
-        let path = if bench_scale == icde_bench::perf::SNAPSHOT_SCALE {
-            "BENCH_6.json"
-        } else {
-            "BENCH_6_smoke.json"
-        };
-        std::fs::write(path, &json).expect("write BENCH_6 snapshot");
-        println!("{json}");
-        println!("\nwrote {path}");
-    }
-
-    if options.experiments.iter().any(|e| e == "bench7") {
-        println!(
-            "# bench7: serving a Zipf-skewed query stream through the concurrent \
-             runtime on the {}-vertex small-world graph (every answer verified \
-             bit-identical to the single-threaded kernel, snapshot hot-swapped \
-             mid-run) ...",
-            bench_scale
-        );
-        let json = icde_bench::perf::bench7_snapshot_json(bench_scale);
-        // smoke runs at reduced scale must not clobber the archived snapshot
-        let path = if bench_scale == icde_bench::perf::SNAPSHOT_SCALE {
-            "BENCH_7.json"
-        } else {
-            "BENCH_7_smoke.json"
-        };
-        std::fs::write(path, &json).expect("write BENCH_7 snapshot");
-        println!("{json}");
-        println!("\nwrote {path}");
-    }
-
-    if options.experiments.iter().any(|e| e == "bench8") {
-        println!(
-            "# bench8: driving a Zipf insert/delete stream through the \
-             delta-overlay maintenance loop on the {}-vertex small-world graph \
-             (every interleaved answer verified bit-identical to a from-scratch \
-             rebuild at the same logical state) ...",
-            bench_scale
-        );
-        let json = icde_bench::perf::bench8_snapshot_json(bench_scale);
-        // smoke runs at reduced scale must not clobber the archived snapshot
-        let path = if bench_scale == icde_bench::perf::SNAPSHOT_SCALE {
-            "BENCH_8.json"
-        } else {
-            "BENCH_8_smoke.json"
-        };
-        std::fs::write(path, &json).expect("write BENCH_8 snapshot");
-        println!("{json}");
-        println!("\nwrote {path}");
-    }
-
-    if options.experiments.iter().any(|e| e == "bench9") {
-        let scale9 = options
-            .bench_scale
-            .unwrap_or(icde_bench::perf::BENCH9_SCALE);
-        let shards = options.shards.unwrap_or(16);
-        println!(
-            "# bench9: building the sharded offline engine on the {scale9}-vertex \
-             locality small-world graph ({shards} shards; sharded build verified \
-             bit-identical to the sequential unsharded engine before timing) ..."
-        );
-        let json = icde_bench::perf::bench9_snapshot_json(scale9, shards);
-        // smoke runs at reduced scale must not clobber the archived snapshot
-        let path = if scale9 == icde_bench::perf::BENCH9_SCALE {
-            "BENCH_9.json"
-        } else {
-            "BENCH_9_smoke.json"
-        };
-        std::fs::write(path, &json).expect("write BENCH_9 snapshot");
-        println!("{json}");
-        let rss = icde_bench::perf::peak_rss_bytes();
-        println!(
-            "\npeak RSS (VmHWM): {:.1} MiB",
-            rss as f64 / (1024.0 * 1024.0)
-        );
-        println!("wrote {path}");
-    }
 
     if wants("table2") {
         emit(&figures::table2_dataset_statistics(&params), options.json);

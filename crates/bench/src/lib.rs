@@ -20,7 +20,6 @@
 
 pub mod figures;
 pub mod params;
-pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod workload;

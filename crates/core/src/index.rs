@@ -383,7 +383,7 @@ impl CommunityIndex {
     /// An FNV-1a fingerprint of the complete index content (configuration,
     /// per-vertex table, edge supports, tree arrays, node table). Equal
     /// fingerprints mean byte-identical flat arrays — the bit-identity check
-    /// used by snapshot round-trip tests and the `bench4` loader comparison.
+    /// used by snapshot round-trip tests.
     pub fn content_fingerprint(&self) -> u64 {
         let mut h = fnv1a(b"icde-index-content-v1");
         let word = |h: u64, v: u64| fnv1a_extend(h, &v.to_le_bytes());

@@ -10,7 +10,7 @@
 //! * the **binary snapshot** ([`save_index_snapshot`] /
 //!   [`load_index_snapshot`], implemented in [`crate::snapshot`]) — the
 //!   production path: sectioned, checksummed, loaded with one `memcpy` per
-//!   flat array (the `bench4` experiment measures the gap vs JSON),
+//!   flat array (the archived `BENCH_4.json` records the gap vs JSON),
 //! * the **JSON envelope** ([`save_index`] / [`load_index`]) — the
 //!   compatibility path: human-readable, diff-able, versioned by
 //!   [`INDEX_FORMAT_VERSION`].

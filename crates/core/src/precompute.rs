@@ -324,9 +324,10 @@ impl ShardPlan {
 
 /// Telemetry of one offline build: where the wall time went and how many
 /// bytes of traversal/signature scratch each worker actually kept resident,
-/// against the dense projection a pre-sharding build would have pinned. The
-/// bench asserts `measured_scratch_bytes() × 4 ≤ naive_scratch_bytes` at
-/// scale; nothing here affects the computed data.
+/// against the dense projection a pre-sharding build would have pinned.
+/// `sharded_equivalence.rs` asserts `measured_scratch_bytes() × 4 ≤
+/// naive_scratch_bytes` on a 20k-vertex locality graph; nothing here
+/// affects the computed data.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Worker threads the build ran with.
@@ -693,9 +694,9 @@ impl PrecomputedData {
     /// Reference (pre-overhaul) sequential build: one full influence
     /// expansion per `(vertex, radius, threshold)` and per-region re-scans,
     /// via [`reference_precompute_vertex`]. Kept in-tree as the equivalence
-    /// baseline for the engine — the property tests and `experiments bench5`
-    /// assert the fast path reproduces it (structurally bit-identical,
-    /// scores within float-summation tolerance).
+    /// baseline for the engine — the property tests assert the fast path
+    /// reproduces it (structurally bit-identical, scores within
+    /// float-summation tolerance).
     pub fn compute_reference(g: &SocialNetwork, config: PrecomputeConfig) -> Self {
         let edge_supports = edge_supports_global(g);
         let n = g.num_vertices();
@@ -840,18 +841,6 @@ impl PrecomputedData {
         self.table.entities()
     }
 
-    /// Recomputes the aggregates of a single vertex against the current state
-    /// of `g` (used by incremental maintenance after graph updates); rides
-    /// the same frontier-incremental engine as [`PrecomputedData::compute`].
-    ///
-    /// `edge_supports` must already reflect the updated graph; use
-    /// [`PrecomputedData::refresh_edge_supports`] first. Batch callers should
-    /// prefer [`PrecomputedData::recompute_vertices`], which builds the flat
-    /// signature table once for the whole batch.
-    pub fn recompute_vertex(&mut self, g: &SocialNetwork, v: VertexId) {
-        self.recompute_vertices(g, &[v]);
-    }
-
     /// Recomputes the aggregates of a batch of vertices against the current
     /// state of `g` (the incremental-maintenance refresh path), through the
     /// thread-shared scratch. The signature row cache is dropped on every
@@ -861,8 +850,9 @@ impl PrecomputedData {
     /// [`PrecomputedData::recompute_vertices_with`] instead, which keeps
     /// rows warm across batches.
     ///
-    /// `edge_supports` must already reflect the updated graph; use
-    /// [`PrecomputedData::refresh_edge_supports`] first.
+    /// `edge_supports` must already reflect the updated graph; patch them
+    /// with [`PrecomputedData::patch_supports_after_insertion`] /
+    /// [`PrecomputedData::patch_supports_after_removal`] first.
     pub fn recompute_vertices(&mut self, g: &SocialNetwork, vertices: &[VertexId]) {
         with_maintenance_scratch(|scratch| {
             // the thread scratch may hold rows of a different same-shaped
@@ -999,66 +989,15 @@ impl PrecomputedData {
         }
     }
 
-    /// Recomputes the global per-edge supports from scratch against the
-    /// current state of `g` (sized by its full edge-id space, so tombstoned
-    /// slots come back as 0). The incremental paths below are preferred for
-    /// single-edge updates.
-    pub fn refresh_edge_supports(&mut self, g: &SocialNetwork) {
-        self.edge_supports = edge_supports_global(g).into();
-    }
-
     /// Patches `edge_supports` after the edge `{u, v}` (id `e`) has been
     /// inserted into `g` (which must already contain it): the new edge's
     /// support is its common-neighbour count, and every triangle it closes
     /// raises the support of the two adjacent edges by one. O(deg u + deg v),
-    /// no full rebuild.
+    /// no full rebuild. The id of every support slot written (the new edge
+    /// plus the two adjacent edges of each closed triangle) is appended to
+    /// `touched`, so callers that publish supports with structural sharing
+    /// know exactly which rows went stale.
     pub fn patch_supports_after_insertion(
-        &mut self,
-        g: &SocialNetwork,
-        u: VertexId,
-        v: VertexId,
-        e: EdgeId,
-    ) {
-        let supports = self.edge_supports.to_mut();
-        if supports.len() < g.edge_id_space() {
-            supports.resize(g.edge_id_space(), 0);
-        }
-        let mut sup = 0u32;
-        g.for_each_common_neighbor(u, v, |_w, e_uw, e_vw| {
-            sup += 1;
-            supports[e_uw.index()] += 1;
-            supports[e_vw.index()] += 1;
-        });
-        supports[e.index()] = sup;
-    }
-
-    /// Patches `edge_supports` after the edge `{u, v}` (old id `e`) has been
-    /// removed from `g` (which must no longer contain it): every triangle the
-    /// edge closed is gone, so the other two edges' supports drop by one. The
-    /// removed id's slot is zeroed — it stays a tombstoned hole until the
-    /// graph compacts.
-    pub fn patch_supports_after_removal(
-        &mut self,
-        g: &SocialNetwork,
-        u: VertexId,
-        v: VertexId,
-        e: EdgeId,
-    ) {
-        let supports = self.edge_supports.to_mut();
-        g.for_each_common_neighbor(u, v, |_w, e_uw, e_vw| {
-            supports[e_uw.index()] -= 1;
-            supports[e_vw.index()] -= 1;
-        });
-        if let Some(slot) = supports.get_mut(e.index()) {
-            *slot = 0;
-        }
-    }
-
-    /// [`Self::patch_supports_after_insertion`], additionally appending the
-    /// id of every support slot it wrote (the new edge plus the two adjacent
-    /// edges of each closed triangle) to `touched`, so callers that publish
-    /// supports with structural sharing know exactly which rows went stale.
-    pub fn patch_supports_after_insertion_logged(
         &mut self,
         g: &SocialNetwork,
         u: VertexId,
@@ -1082,9 +1021,13 @@ impl PrecomputedData {
         touched.push(e.index() as u32);
     }
 
-    /// [`Self::patch_supports_after_removal`], additionally appending every
-    /// touched support slot (including the zeroed tombstone) to `touched`.
-    pub fn patch_supports_after_removal_logged(
+    /// Patches `edge_supports` after the edge `{u, v}` (old id `e`) has been
+    /// removed from `g` (which must no longer contain it): every triangle the
+    /// edge closed is gone, so the other two edges' supports drop by one. The
+    /// removed id's slot is zeroed — it stays a tombstoned hole until the
+    /// graph compacts. Every touched support slot (including the zeroed
+    /// tombstone) is appended to `touched`.
+    pub fn patch_supports_after_removal(
         &mut self,
         g: &SocialNetwork,
         u: VertexId,
@@ -1543,8 +1486,8 @@ fn seed_bounds_vertex_into(
 /// correctness baseline: one full influence expansion (with its influenced
 /// community `HashMap`) per `(radius, threshold)`, per-member signature
 /// hashing, and a full induced-edge re-scan per radius. The equivalence
-/// property tests (`crates/core/tests/precompute_equivalence.rs`) and
-/// `experiments bench5` compare the engine against this path.
+/// property tests (`crates/core/tests/precompute_equivalence.rs`) compare
+/// the engine against this path.
 pub fn reference_precompute_vertex(
     g: &SocialNetwork,
     config: &PrecomputeConfig,

@@ -274,6 +274,7 @@ mod tests {
     use super::*;
     use crate::index::IndexBuilder;
     use crate::query::TopLQuery;
+    use crate::streaming::{EdgeUpdate, StreamingMaintainer};
     use crate::topl::TopLProcessor;
     use icde_graph::generators::{DatasetKind, DatasetSpec};
     use icde_graph::{KeywordSet, SocialNetwork};
@@ -375,11 +376,19 @@ mod tests {
             }
             found.expect("graph is not complete")
         };
-        let g2 = g.with_edge_inserted(u, v, 0.55, 0.55).unwrap();
-        let (updated, refreshed) =
-            crate::maintenance::update_index_after_edge_insertion(back, &g2, u, v, None);
+        let mut maintainer = StreamingMaintainer::new(g, back);
+        let refreshed = maintainer.apply_batch(&[EdgeUpdate::Insert {
+            u,
+            v,
+            p_uv: 0.55,
+            p_vu: 0.55,
+        }]);
         assert!(refreshed > 0);
-        assert_eq!(updated.num_graph_vertices(), g2.num_vertices());
+        assert!(maintainer.graph().contains_edge(u, v));
+        assert_eq!(
+            maintainer.index().num_graph_vertices(),
+            maintainer.graph().num_vertices()
+        );
         let _ = std::fs::remove_file(path);
     }
 }

@@ -57,11 +57,11 @@
 
 use crate::error::CoreResult;
 use crate::index::{CommunityIndex, IndexBuilder, IndexPlacement, IndexShadow};
-use crate::maintenance::{affected_vertices_with, influence_slack_bound};
 use crate::precompute::MaintenanceArena;
 use crate::serving::{ServingRuntime, ServingSnapshot};
 use icde_graph::graph::DEFAULT_COMPACT_THRESHOLD;
 use icde_graph::snapshot::fnv1a_extend;
+use icde_graph::traversal::hop_subgraph_with;
 use icde_graph::{SocialNetwork, VertexId, Weight};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -331,7 +331,7 @@ impl StreamingMaintainer {
                     let t = Instant::now();
                     match self.graph.apply_edge_inserted(u, v, p_uv, p_vu) {
                         Ok(e) => {
-                            index.precomputed.patch_supports_after_insertion_logged(
+                            index.precomputed.patch_supports_after_insertion(
                                 &self.graph,
                                 u,
                                 v,
@@ -375,7 +375,7 @@ impl StreamingMaintainer {
                     let t = Instant::now();
                     match self.graph.apply_edge_removed(u, v) {
                         Ok(e) => {
-                            index.precomputed.patch_supports_after_removal_logged(
+                            index.precomputed.patch_supports_after_removal(
                                 &self.graph,
                                 u,
                                 v,
@@ -599,6 +599,49 @@ impl StreamingMaintainer {
     }
 }
 
+/// The number of extra hops (beyond `r_max`) an edge update can influence:
+/// a score expansion only crosses the edge if it reaches one of its
+/// endpoints with probability ≥ θ_min, and every hop multiplies the
+/// probability by at most the largest edge weight `p_max`, so the reach
+/// beyond the r-hop region is bounded by `⌊ln θ_min / ln p_max⌋` hops.
+/// [`StreamingMaintainer::apply_batch`] folds the weights of *pending*
+/// insertions into `p_max` before any of them is applied.
+///
+/// Returns `None` when no finite bound exists (`p_max` is 1.0 or the
+/// smallest pre-selected threshold is 0); callers then refresh every vertex.
+fn influence_slack_bound(theta_min: f64, p_max: f64) -> Option<u32> {
+    if theta_min <= 0.0 || theta_min.is_nan() || p_max >= 1.0 {
+        return None;
+    }
+    if p_max <= 0.0 {
+        return Some(0);
+    }
+    Some((theta_min.ln() / p_max.ln()).floor().max(0.0) as u32)
+}
+
+/// Appends to `out` every vertex whose pre-computed aggregates may change
+/// when the edge `{u, v}` is inserted or removed: the `r_max +
+/// influence_slack` hop balls of both endpoints, measured on a graph that
+/// contains the edge. `out` is neither cleared nor deduplicated — the two
+/// balls usually overlap heavily, and the batch sort-dedups once, counting
+/// the overlap as a maintenance statistic. The discovery reuses the arena's
+/// already-resident traversal pages, so it touches no thread-local state and
+/// allocates nothing beyond `out`'s growth.
+fn affected_vertices_with(
+    arena: &mut MaintenanceArena,
+    g: &SocialNetwork,
+    u: VertexId,
+    v: VertexId,
+    r_max: u32,
+    influence_slack: u32,
+    out: &mut Vec<VertexId>,
+) {
+    let ws = arena.traversal_workspace();
+    for endpoint in [u, v] {
+        out.extend(hop_subgraph_with(ws, g, endpoint, r_max + influence_slack).iter());
+    }
+}
+
 /// Folds one applied insertion into the running state tag.
 fn tag_insert(tag: u64, u: VertexId, v: VertexId, p_uv: f64, p_vu: f64) -> u64 {
     let mut t = fnv1a_extend(tag, &[1u8]);
@@ -688,6 +731,14 @@ mod tests {
             b.add_edge(u, v, wf, wb);
         }
         b.build().unwrap()
+    }
+
+    /// The first vertex pair, in id order, that is not yet an edge.
+    fn missing_edge(g: &SocialNetwork) -> (VertexId, VertexId) {
+        g.vertices()
+            .flat_map(|u| g.vertices().map(move |v| (u, v)))
+            .find(|&(u, v)| u < v && !g.contains_edge(u, v))
+            .expect("graph is not complete")
     }
 
     fn answer_bits(a: &crate::topl::TopLAnswer) -> Vec<(u32, u64, Vec<u32>)> {
@@ -1009,6 +1060,32 @@ mod tests {
         assert_eq!(answer_bits(&live), answer_bits(&reference));
     }
 
+    /// The refresh stays local: one insertion into a 600-vertex graph
+    /// recomputes the endpoints' balls, not the whole graph.
+    #[test]
+    fn refresh_touches_only_a_fraction_on_larger_graphs() {
+        let g = DatasetSpec::new(DatasetKind::Uniform, 600, 4)
+            .with_keyword_domain(10)
+            .generate();
+        // weights in [0.5, 0.6) and θ_min = 0.4 give a one-hop influence
+        // slack, so each endpoint ball has radius r_max + 1 = 3
+        let index =
+            IndexBuilder::new(PrecomputeConfig::new(2, vec![0.4]).with_parallel(false)).build(&g);
+        let (u, v) = missing_edge(&g);
+        let mut maintainer = StreamingMaintainer::new(g, index);
+        maintainer.apply_batch(&[EdgeUpdate::Insert {
+            u,
+            v,
+            p_uv: 0.55,
+            p_vu: 0.55,
+        }]);
+        let recomputed = maintainer.stats().vertices_recomputed;
+        assert!(
+            recomputed > 0 && recomputed < 300,
+            "recomputed {recomputed} of 600"
+        );
+    }
+
     #[test]
     fn invalid_updates_are_skipped_not_fatal() {
         let (g, index) = setup(60, 32);
@@ -1041,31 +1118,159 @@ mod tests {
         assert!(!maintainer.graph().contains_edge(u, v));
     }
 
+    /// Score bits, influenced size and vertex set of every community, in
+    /// rank order: what a from-scratch rebuild must reproduce exactly. The
+    /// centre is left out because two centres of one community can tie
+    /// bit-exactly, and which one is credited follows the tree shape.
+    fn centerless_bits(a: &crate::topl::TopLAnswer) -> Vec<(u64, usize, Vec<u32>)> {
+        a.communities
+            .iter()
+            .map(|c| {
+                (
+                    c.influential_score.to_bits(),
+                    c.influenced_size,
+                    c.vertices.iter().map(|v| v.0).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Queries served while the maintenance thread publishes batch after
+    /// batch must each answer exactly like a from-scratch rebuild of the
+    /// graph state their epoch names: epoch e is the state after batch e − 1.
     #[test]
     fn maintenance_thread_publishes_refreshed_snapshots() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
         let (g, index) = setup(120, 33);
+        let mut edges = g.edges().map(|(_, u, v)| (u, v));
+        let (a, b) = edges.next().unwrap();
+        let (c, d) = edges.next().unwrap();
+        let (x, y) = missing_edge(&g);
+        // every batch changes the graph, so every batch publishes
+        let batches = vec![
+            vec![EdgeUpdate::Remove { u: a, v: b }],
+            vec![EdgeUpdate::Insert {
+                u: x,
+                v: y,
+                p_uv: 0.45,
+                p_vu: 0.4,
+            }],
+            vec![
+                EdgeUpdate::Remove { u: c, v: d },
+                EdgeUpdate::Insert {
+                    u: a,
+                    v: b,
+                    p_uv: 0.3,
+                    p_vu: 0.35,
+                },
+            ],
+            vec![EdgeUpdate::Remove { u: x, v: y }],
+        ];
+        let queries = [
+            TopLQuery::new(KeywordSet::from_ids([0, 1, 2]), 3, 2, 0.2, 4),
+            TopLQuery::new(KeywordSet::from_ids([3, 4, 5, 6]), 3, 1, 0.1, 3),
+        ];
+
+        // reference[s][q]: query q off a from-scratch rebuild of the graph
+        // after s batches
+        let answers_off_a_rebuild = |state: &SocialNetwork| {
+            let scratch = rebuild_from_scratch(state);
+            let scratch_index = IndexBuilder::new(PrecomputeConfig {
+                parallel: false,
+                ..Default::default()
+            })
+            .with_leaf_capacity(8)
+            .build(&scratch);
+            let processor = TopLProcessor::new(&scratch, &scratch_index);
+            queries
+                .iter()
+                .map(|q| centerless_bits(&processor.run(q).unwrap()))
+                .collect::<Vec<_>>()
+        };
+        let mut state = g.clone();
+        let mut reference = vec![answers_off_a_rebuild(&state)];
+        for batch in &batches {
+            for update in batch {
+                match *update {
+                    EdgeUpdate::Insert { u, v, p_uv, p_vu } => {
+                        state.apply_edge_inserted(u, v, p_uv, p_vu).unwrap();
+                    }
+                    EdgeUpdate::Remove { u, v } => {
+                        state.apply_edge_removed(u, v).unwrap();
+                    }
+                }
+            }
+            reference.push(answers_off_a_rebuild(&state));
+        }
+
         let runtime = Arc::new(
             ServingRuntime::start(ServingConfig::with_workers(2), g.clone(), index.clone())
                 .unwrap(),
         );
         let feed = StreamingMaintainer::new(g.clone(), index).spawn(Arc::clone(&runtime));
+        let stop = AtomicBool::new(false);
+        let (first_tx, first_rx) = mpsc::channel();
+        let (maintainer, served) = thread::scope(|scope| {
+            let client = scope.spawn(|| {
+                let mut served = Vec::new();
+                for i in 0.. {
+                    // read the flag before submitting, so the last query
+                    // goes out after every batch has been published
+                    let stopping = stop.load(Ordering::SeqCst);
+                    let q = i % queries.len();
+                    served.push((q, runtime.submit(queries[q].clone()).wait().unwrap()));
+                    if i == 0 {
+                        first_tx.send(()).unwrap();
+                    }
+                    if stopping {
+                        break;
+                    }
+                }
+                served
+            });
+            // the first answer is served off the initial snapshot, before any
+            // batch is pushed; the rest race the maintenance thread
+            first_rx.recv().unwrap();
+            for batch in &batches {
+                assert!(feed.push(batch.clone()));
+            }
+            let maintainer = feed.finish();
+            stop.store(true, Ordering::SeqCst);
+            (maintainer, client.join().unwrap())
+        });
 
-        let (_, u, v) = g.edges().next().unwrap();
-        assert!(feed.push(vec![EdgeUpdate::Remove { u, v }]));
-        let maintainer = feed.finish();
-        assert_eq!(maintainer.stats().removes_applied, 1);
+        let last_epoch = 1 + batches.len() as u64;
+        assert_eq!(served.first().unwrap().1.epoch, 1);
+        assert_eq!(served.last().unwrap().1.epoch, last_epoch);
+        for (q, answer) in &served {
+            assert_eq!(
+                centerless_bits(&answer.answer),
+                reference[(answer.epoch - 1) as usize][*q],
+                "query {q} served at epoch {}",
+                answer.epoch
+            );
+        }
 
+        let stats = maintainer.stats();
+        assert_eq!(stats.inserts_applied, 2);
+        assert_eq!(stats.removes_applied, 3);
         let snapshot = runtime.current();
-        assert_eq!(snapshot.epoch(), 2, "maintenance thread must hot-swap");
-        assert!(!snapshot.graph.contains_edge(u, v));
+        assert_eq!(snapshot.epoch(), last_epoch, "every batch must hot-swap");
+        assert!(snapshot.graph.contains_edge(a, b));
+        assert!(!snapshot.graph.contains_edge(c, d));
+        assert!(!snapshot.graph.contains_edge(x, y));
 
-        // the published snapshot answers exactly like the maintainer's pair
-        let query = TopLQuery::new(KeywordSet::from_ids([0, 1, 2]), 3, 2, 0.2, 4);
-        let served = runtime.submit(query.clone()).wait().unwrap();
+        // the published snapshot answers exactly like the maintainer's pair,
+        // centres included
+        let (q, last) = served.last().unwrap();
         let direct = TopLProcessor::new(maintainer.graph(), maintainer.index())
-            .run(&query)
+            .run(&queries[*q])
             .unwrap();
-        assert_eq!(answer_bits(&served.answer), answer_bits(&direct));
-        assert_eq!(served.epoch, 2);
+        assert_eq!(answer_bits(&last.answer), answer_bits(&direct));
+
+        let serving = runtime.stats();
+        assert_eq!(serving.swaps, batches.len() as u64);
+        assert_eq!(serving.queries_failed, 0);
     }
 }

@@ -7,15 +7,17 @@
 //! re-scans): keyword signatures, support bounds and region sizes
 //! **bit-identical**, every `σ_z` within 1e-9 (the two paths sum the same
 //! settled `cpp` values in different orders). Scheduling must be invisible —
-//! any worker count writes the exact same table — and the incremental
-//! maintenance path must agree with a from-scratch build after edge
-//! insertions and deletions.
+//! any worker count writes the exact same table — and the streaming
+//! maintainer's incremental refresh must agree with a from-scratch build
+//! after edge insertions and deletions.
 
-use icde_core::maintenance::{refresh_after_edge_insertion, update_index_after_edge_deletion};
 use icde_core::precompute::{PrecomputeConfig, PrecomputedData};
+use icde_core::query::TopLQuery;
+use icde_core::streaming::{EdgeUpdate, StreamingMaintainer};
+use icde_core::topl::TopLProcessor;
 use icde_core::IndexBuilder;
 use icde_graph::generators::{DatasetKind, DatasetSpec};
-use icde_graph::{SocialNetwork, VertexId};
+use icde_graph::{KeywordSet, SocialNetwork, VertexId};
 use proptest::prelude::*;
 
 fn generated_graph(n: usize, seed: u64, keyword_domain: u32) -> SocialNetwork {
@@ -84,6 +86,21 @@ proptest! {
                 }
             }
         }
+        // a query answers the same off either index: scores, reach and
+        // vertex sets (not centres, which can tie within one community)
+        let radius = fast.config.r_max.min(2);
+        let query = TopLQuery::new(KeywordSet::from_ids([0, 1, 2, 3]), 3, radius, 0.2, 5);
+        let engine_index = IndexBuilder::new(fast.config.clone()).build_from_precomputed(&g, fast);
+        let reference_index =
+            IndexBuilder::new(reference.config.clone()).build_from_precomputed(&g, reference);
+        let a = TopLProcessor::new(&g, &engine_index).run(&query).unwrap();
+        let b = TopLProcessor::new(&g, &reference_index).run(&query).unwrap();
+        prop_assert_eq!(a.communities.len(), b.communities.len());
+        for (x, y) in a.communities.iter().zip(&b.communities) {
+            prop_assert_eq!(x.influential_score.to_bits(), y.influential_score.to_bits());
+            prop_assert_eq!(x.influenced_size, y.influenced_size);
+            prop_assert_eq!(&x.vertices, &y.vertices);
+        }
     }
 
     #[test]
@@ -108,51 +125,40 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = PrecomputeConfig::default().with_parallel(false);
-        let g_before = generated_graph(n, seed, 10);
-
-        // --- insertion ---------------------------------------------------
-        let mut endpoints = None;
-        'outer: for u in g_before.vertices() {
-            for v in g_before.vertices() {
-                if u < v && !g_before.contains_edge(u, v) {
-                    endpoints = Some((u, v));
-                    break 'outer;
-                }
-            }
-        }
-        let Some((u, v)) = endpoints else {
+        let g = generated_graph(n, seed, 10);
+        let Some((u, v)) = g
+            .vertices()
+            .flat_map(|u| g.vertices().map(move |v| (u, v)))
+            .find(|&(u, v)| u < v && !g.contains_edge(u, v))
+        else {
             return; // complete graph: nothing to insert
         };
-        let g_after = g_before.with_edge_inserted(u, v, 0.4, 0.6).unwrap();
-        let mut patched = PrecomputedData::compute(&g_before, config.clone());
-        let refreshed = refresh_after_edge_insertion(&g_after, &mut patched, u, v, None);
-        prop_assert!(refreshed > 0);
-        let scratch = PrecomputedData::compute(&g_after, config.clone());
-        assert_equivalent(&patched, &scratch);
-
-        // --- deletion (through the index-level API) ----------------------
-        let (_, du, dv) = g_after.edges().next().expect("graph has edges");
-        let index = IndexBuilder::new(config.clone()).build(&g_after);
-        let (g_deleted, patched_index, _) =
-            update_index_after_edge_deletion(index, &g_after, du, dv, None).unwrap();
-        let scratch = PrecomputedData::compute(&g_deleted, config);
-        assert_equivalent(&patched_index.precomputed, &scratch);
+        let (_, du, dv) = g.edges().next().expect("graph has edges");
+        let index = IndexBuilder::new(config.clone()).build(&g);
+        let mut maintainer = StreamingMaintainer::new(g, index);
+        for update in [
+            EdgeUpdate::Insert { u, v, p_uv: 0.4, p_vu: 0.6 },
+            EdgeUpdate::Remove { u: du, v: dv },
+        ] {
+            prop_assert!(maintainer.apply_batch(&[update]) > 0);
+            let scratch = PrecomputedData::compute(maintainer.graph(), config.clone());
+            assert_equivalent(&maintainer.index().precomputed, &scratch);
+        }
     }
 }
 
 #[test]
 fn single_vertex_recompute_rides_the_engine() {
-    // recompute_vertex (the singular maintenance entry point) must reproduce
-    // the row a from-scratch engine build computes, for every vertex. At
-    // 200 vertices a single-vertex batch hashes signatures on the fly while
-    // the full batch goes through the flat table — both paths must agree
-    // with the bulk build bit for bit.
+    // a single-vertex recompute must reproduce the row a from-scratch engine
+    // build computes, for every vertex. At 200 vertices a single-vertex batch
+    // hashes signatures on the fly while the full batch goes through the
+    // flat table — both paths must agree with the bulk build bit for bit.
     let g = generated_graph(200, 7, 8);
     let config = PrecomputeConfig::default().with_parallel(false);
     let scratch = PrecomputedData::compute(&g, config.clone());
     let mut data = PrecomputedData::compute(&g, config);
     for v in g.vertices() {
-        data.recompute_vertex(&g, v);
+        data.recompute_vertices(&g, &[v]);
     }
     assert_eq!(data.table(), scratch.table());
     // batch form, deliberately unsorted and with repeats

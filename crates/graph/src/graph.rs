@@ -312,7 +312,7 @@ impl SocialNetwork {
     /// An FNV-1a fingerprint of the complete graph content (topology,
     /// weights bit patterns, keywords). Two graphs with equal fingerprints
     /// are byte-identical in every flat array — the bit-identity check used
-    /// by the snapshot round-trip tests and the `bench4` loader comparison.
+    /// by the snapshot round-trip tests.
     pub fn content_fingerprint(&self) -> u64 {
         let mut h = fnv1a(b"icde-graph-content-v1");
         let word = |h: u64, v: u64| fnv1a_extend(h, &v.to_le_bytes());
@@ -840,38 +840,6 @@ impl SocialNetwork {
         (self.overlay_fraction() > threshold).then(|| self.compact())
     }
 
-    /// Clone-and-patch convenience around
-    /// [`apply_edge_inserted`](SocialNetwork::apply_edge_inserted): returns
-    /// an updated copy, leaving `self` untouched. Existing edge ids are
-    /// preserved; the new edge receives the next fresh id.
-    pub fn with_edge_inserted(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        p_uv: Weight,
-        p_vu: Weight,
-    ) -> GraphResult<SocialNetwork> {
-        let mut updated = self.clone();
-        updated.apply_edge_inserted(u, v, p_uv, p_vu)?;
-        Ok(updated)
-    }
-
-    /// Clone-and-patch convenience around
-    /// [`apply_edge_removed`](SocialNetwork::apply_edge_removed): returns an
-    /// updated copy and the removed edge's id. Surviving edges **keep their
-    /// ids** (the removed id is tombstoned, not reused) — edge-indexed side
-    /// data stays valid, unlike the pre-overlay rebuild which shifted every
-    /// id above the removed edge.
-    pub fn with_edge_removed(
-        &self,
-        u: VertexId,
-        v: VertexId,
-    ) -> GraphResult<(SocialNetwork, EdgeId)> {
-        let mut updated = self.clone();
-        let removed = updated.apply_edge_removed(u, v)?;
-        Ok((updated, removed))
-    }
-
     /// The live canonical edge table with weights, in edge-id order, as a
     /// borrowing iterator — only [`compact`](SocialNetwork::compact) and the
     /// snapshot writers ever materialise it.
@@ -1348,8 +1316,8 @@ mod tests {
         b.add_edge(VertexId(0), VertexId(1), 0.8, 0.7);
         b.add_symmetric_edge(VertexId(1), VertexId(2), 0.6);
         let g = b.build().unwrap();
-        let g2 = g
-            .with_edge_inserted(VertexId(3), VertexId(0), 0.4, 0.3)
+        let mut g2 = g.clone();
+        g2.apply_edge_inserted(VertexId(3), VertexId(0), 0.4, 0.3)
             .unwrap();
         assert_eq!(g2.num_edges(), 3);
         for (e, u, v) in g.edges() {
@@ -1368,11 +1336,13 @@ mod tests {
         );
         // invalid inserts are rejected
         assert!(matches!(
-            g2.with_edge_inserted(VertexId(0), VertexId(1), 0.5, 0.5),
+            g2.clone()
+                .apply_edge_inserted(VertexId(0), VertexId(1), 0.5, 0.5),
             Err(GraphError::DuplicateEdge(..))
         ));
         assert!(matches!(
-            g2.with_edge_inserted(VertexId(0), VertexId(9), 0.5, 0.5),
+            g2.clone()
+                .apply_edge_inserted(VertexId(0), VertexId(9), 0.5, 0.5),
             Err(GraphError::UnknownVertex(_))
         ));
     }
@@ -1380,7 +1350,8 @@ mod tests {
     #[test]
     fn remove_edge_tombstones_without_shifting_ids() {
         let g = triangle();
-        let (g2, removed) = g.with_edge_removed(VertexId(1), VertexId(0)).unwrap();
+        let mut g2 = g.clone();
+        let removed = g2.apply_edge_removed(VertexId(1), VertexId(0)).unwrap();
         assert_eq!(removed, EdgeId(0));
         assert_eq!(g2.num_edges(), 2);
         assert_eq!(g2.edge_id_space(), 3, "the tombstoned id is not reused");
@@ -1393,7 +1364,7 @@ mod tests {
             vec![EdgeId(1), EdgeId(2)]
         );
         assert!(matches!(
-            g2.with_edge_removed(VertexId(0), VertexId(1)),
+            g2.clone().apply_edge_removed(VertexId(0), VertexId(1)),
             Err(GraphError::MissingEdge(..))
         ));
         // a reinsert gets a fresh id, never the tombstoned one

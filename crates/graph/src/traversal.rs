@@ -397,8 +397,8 @@ mod tests {
         assert_eq!(comps[1].len(), 1);
         assert!(!is_connected(&g));
 
-        let g2 = g
-            .with_edge_inserted(VertexId(4), VertexId(5), 0.5, 0.5)
+        let mut g2 = g.clone();
+        g2.apply_edge_inserted(VertexId(4), VertexId(5), 0.5, 0.5)
             .unwrap();
         assert!(is_connected(&g2));
         assert!(is_connected(&SocialNetwork::new()));

@@ -1,7 +1,10 @@
 //! Property tests for the epoch-stamp reset bug class: a traversal through a
 //! *reused* [`TraversalWorkspace`] must be bit-identical to one through a
 //! fresh workspace, no matter what the previous traversals left behind, and
-//! the epoch-counter wraparound must not resurrect stale stamps.
+//! the epoch-counter wraparound must not resurrect stale stamps. The bounded
+//! BFS is also checked against an independent reference that shares no code
+//! with the workspace path, so a fault in that path cannot pass by agreeing
+//! with itself.
 
 use icde_graph::traversal::{
     bfs_within_with, connected_components_with, hop_distance_with, hop_distances_within_subset_with,
@@ -9,6 +12,7 @@ use icde_graph::traversal::{
 use icde_graph::workspace::TraversalWorkspace;
 use icde_graph::{GraphBuilder, SocialNetwork, VertexId, VertexSubset};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// Deterministic random graph from an (n, seed) pair: xorshift-driven edge
 /// set over `n` vertices, roughly 2n attempted edges.
@@ -33,6 +37,29 @@ fn random_graph(n: usize, seed: u64) -> SocialNetwork {
         .expect("try_add_edge admits only valid edges")
 }
 
+/// The bounded BFS without a workspace: per-call `Option` distances and a
+/// `VecDeque`. Returns the hop distance of every vertex (`None` when the
+/// source does not reach it within `max_hops`).
+fn reference_bfs_distances(g: &SocialNetwork, source: VertexId, max_hops: u32) -> Vec<Option<u32>> {
+    let mut dist: Vec<Option<u32>> = vec![None; g.num_vertices()];
+    let mut queue = VecDeque::new();
+    dist[source.index()] = Some(0);
+    queue.push_back(source);
+    while let Some(u) = queue.pop_front() {
+        let du = dist[u.index()].expect("queued vertices have distances");
+        if du == max_hops {
+            continue;
+        }
+        for (n, _) in g.neighbors(u) {
+            if dist[n.index()].is_none() {
+                dist[n.index()] = Some(du + 1);
+                queue.push_back(n);
+            }
+        }
+    }
+    dist
+}
+
 fn graph_strategy(max_vertices: usize) -> impl Strategy<Value = SocialNetwork> {
     (2usize..max_vertices, any::<u64>()).prop_map(|(n, seed)| random_graph(n, seed))
 }
@@ -50,6 +77,15 @@ proptest! {
                 let a = bfs_within_with(&mut reused, &g, source, max_hops);
                 let b = bfs_within_with(&mut TraversalWorkspace::new(), &g, source, max_hops);
                 prop_assert_eq!(&a.distances, &b.distances, "source {} hops {}", source, max_hops);
+                let mut per_vertex = vec![None; g.num_vertices()];
+                for &(v, d) in &a.distances {
+                    per_vertex[v.index()] = Some(d);
+                }
+                prop_assert_eq!(
+                    per_vertex,
+                    reference_bfs_distances(&g, source, max_hops),
+                    "source {} hops {} vs the reference", source, max_hops
+                );
             }
         }
     }

@@ -2,12 +2,16 @@
 //! `single_source_upp` and `influenced_community` must produce bit-identical
 //! results through a reused [`TraversalWorkspace`] across many consecutive
 //! calls on random graphs, and across the epoch-counter wraparound.
+//! `single_source_upp` is also checked against an independent `BinaryHeap`
+//! Dijkstra that shares no code with the workspace's bucket queue.
 
 use icde_graph::workspace::TraversalWorkspace;
 use icde_graph::{GraphBuilder, SocialNetwork, VertexId, VertexSubset};
 use icde_influence::mia::{max_influence_path_with, single_source_upp_with};
 use icde_influence::{InfluenceConfig, InfluenceEvaluator};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Deterministic random graph from an (n, seed) pair with asymmetric
 /// directed probabilities in (0, 1].
@@ -32,6 +36,47 @@ fn random_graph(n: usize, seed: u64) -> SocialNetwork {
         .expect("try_add_edge admits only valid edges")
 }
 
+/// `single_source_upp` without a workspace: per-call dense arrays and a
+/// `BinaryHeap` Dijkstra over probabilities (max-product paths, candidates
+/// below `floor` dropped).
+fn reference_single_source_upp(g: &SocialNetwork, source: VertexId, floor: f64) -> Vec<f64> {
+    #[derive(PartialEq)]
+    struct Entry(f64, VertexId);
+    impl Eq for Entry {}
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.0
+                .partial_cmp(&other.0)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| self.1.cmp(&other.1))
+        }
+    }
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    let mut best = vec![0.0f64; g.num_vertices()];
+    let mut settled = vec![false; g.num_vertices()];
+    let mut heap = BinaryHeap::new();
+    best[source.index()] = 1.0;
+    heap.push(Entry(1.0, source));
+    while let Some(Entry(probability, vertex)) = heap.pop() {
+        if settled[vertex.index()] {
+            continue;
+        }
+        settled[vertex.index()] = true;
+        for (n, p) in g.outgoing(vertex) {
+            let candidate = probability * p;
+            if candidate >= floor && candidate > best[n.index()] {
+                best[n.index()] = candidate;
+                heap.push(Entry(candidate, n));
+            }
+        }
+    }
+    best
+}
+
 fn graph_strategy(max_vertices: usize) -> impl Strategy<Value = SocialNetwork> {
     (2usize..max_vertices, any::<u64>()).prop_map(|(n, seed)| random_graph(n, seed))
 }
@@ -53,6 +98,14 @@ proptest! {
                 // exact equality: probabilities are products along identical
                 // best paths, independent of workspace history
                 prop_assert_eq!(&a, &b, "source {} floor {}", source, floor);
+                let reference = reference_single_source_upp(&g, source, floor);
+                prop_assert_eq!(a.len(), reference.len());
+                for (i, (x, y)) in a.iter().zip(&reference).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(),
+                        "source {} floor {} vertex {} vs the reference", source, floor, i
+                    );
+                }
             }
         }
     }
