@@ -2,17 +2,18 @@
 //! option surface is small and stable).
 
 use icde_graph::generators::DatasetKind;
+use std::cell::RefCell;
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
 usage:
   topl-icde generate --kind <uniform|gaussian|zipf|dblp|amazon> --vertices N [--seed N]
                      [--keyword-domain N] [--keywords-per-vertex N] --out FILE
-  topl-icde stats    --graph FILE [--threads N]
+  topl-icde stats    --graph FILE
   topl-icde index    --graph FILE --out FILE [--rmax N] [--fanout N] [--thresholds a,b,c]
                      [--threads N] [--shards N]
   topl-icde query    --graph FILE --index FILE --keywords a,b,c [--k N] [--r N]
-                     [--theta X] [--l N] [--json] [--explain] [--eager]
+                     [--theta X] [--l N] [--json] [--explain]
   topl-icde dquery   --graph FILE --index FILE --keywords a,b,c [--k N] [--r N]
                      [--theta X] [--l N] [--n N] [--json]
   topl-icde serve    --graph FILE --index FILE [--workers N] [--queries N]
@@ -23,19 +24,18 @@ usage:
                      [--out-graph FILE] [--out-index FILE]
                      [--keywords a,b,c [--k N] [--r N] [--theta X] [--l N]] [--json]
   topl-icde snapshot save --graph FILE --out FILE    (binary graph snapshot)
-  topl-icde snapshot save --index FILE --out FILE    (binary index snapshot)
   topl-icde snapshot load --file FILE [--buffered]   (verify + summarise)
 
-graph/index FILE arguments accept any readable format (edge list, JSON, or
-binary snapshot — sniffed by magic bytes); `index --out FILE.snap` writes the
-binary snapshot directly. --threads N pins the worker count of any offline
-pre-computation the command runs (default: all cores); `stats` runs none
-today and accepts the flag for forward compatibility. `index --shards N`
-partitions the offline build into N contiguous vertex-range shards so each
-worker carries only ball-cover-sized scratch (bit-identical output; default:
-one shard per worker thread at large scale). `query --explain`
-prints the pruning-counter breakdown after the answers; `query --eager`
-forces the eager reference path instead of the progressive kernel. `serve`
+A graph FILE is an attributed edge list or a binary snapshot (told apart by
+its magic bytes); an index FILE is always a binary snapshot, which `index
+--out` and `update --out-index` write whatever the name. `update --out-graph`
+writes a snapshot for a `.snap` name and an edge list for any other. A flag
+the command does not take is a usage error. `index --threads N` pins the
+worker count of the offline pre-computation (default: all cores). `index
+--shards N` partitions the offline build into N contiguous vertex-range
+shards so each worker carries only ball-cover-sized scratch (bit-identical
+output; default: one shard). `query --explain` prints the pruning-counter
+breakdown after the answers. `serve`
 starts the concurrent serving runtime (worker pool + query LRU) and drives
 it with --queries synthetic Zipf-skewed keyword queries, reporting QPS,
 latency percentiles and the cache hit rate; --update-rate N additionally
@@ -75,18 +75,12 @@ pub enum Command {
     Stats {
         /// Path to the graph file.
         graph: String,
-        /// Worker-thread count for any offline pre-computation the command
-        /// performs ([`PrecomputeConfig::num_threads`]; `None` = all cores).
-        ///
-        /// [`PrecomputeConfig::num_threads`]:
-        /// icde_core::precompute::PrecomputeConfig::num_threads
-        threads: Option<usize>,
     },
     /// Build the offline index for a graph and write it to a file.
     Index {
         /// Path to the graph file.
         graph: String,
-        /// Output path for the JSON index.
+        /// Output path for the index snapshot.
         out: String,
         /// Maximum pre-computed radius.
         r_max: u32,
@@ -98,7 +92,7 @@ pub enum Command {
         /// cores).
         threads: Option<usize>,
         /// Contiguous vertex-range shard count for the offline build
-        /// ([`PrecomputeConfig::num_shards`]; `None` = engine default).
+        /// ([`PrecomputeConfig::num_shards`]; `None` = one shard).
         ///
         /// [`PrecomputeConfig::num_shards`]:
         /// icde_core::precompute::PrecomputeConfig::num_shards
@@ -124,8 +118,6 @@ pub enum Command {
         json: bool,
         /// Print the pruning-counter breakdown after the answers.
         explain: bool,
-        /// Force the eager reference path instead of the progressive kernel.
-        eager: bool,
     },
     /// Run a DTopL-ICDE query.
     DQuery {
@@ -215,12 +207,10 @@ pub enum Command {
         /// Emit JSON instead of text.
         json: bool,
     },
-    /// Convert a graph or index file into a binary snapshot.
+    /// Convert a graph file into a binary snapshot.
     SnapshotSave {
-        /// Path to a graph file (any readable format), if converting a graph.
-        graph: Option<String>,
-        /// Path to an index file (JSON or snapshot), if converting an index.
-        index: Option<String>,
+        /// Path to the graph file (edge list or snapshot).
+        graph: String,
         /// Output path for the binary snapshot.
         out: String,
     },
@@ -233,13 +223,17 @@ pub enum Command {
     },
 }
 
-/// Simple key-value flag map over the argument list.
+/// Simple key-value flag map over the argument list. Every lookup records
+/// the name it asked for, so once a command has read its options,
+/// [`Flags::reject_unknown`] refuses any other `--name`.
 struct Flags<'a> {
     args: &'a [String],
+    asked: RefCell<Vec<&'static str>>,
 }
 
 impl<'a> Flags<'a> {
-    fn get(&self, name: &str) -> Option<&'a str> {
+    fn get(&self, name: &'static str) -> Option<&'a str> {
+        self.asked.borrow_mut().push(name);
         self.args
             .iter()
             .position(|a| a == name)
@@ -247,21 +241,35 @@ impl<'a> Flags<'a> {
             .map(String::as_str)
     }
 
-    fn has(&self, name: &str) -> bool {
+    fn has(&self, name: &'static str) -> bool {
+        self.asked.borrow_mut().push(name);
         self.args.iter().any(|a| a == name)
     }
 
-    fn required(&self, name: &str) -> Result<&'a str, String> {
+    fn required(&self, name: &'static str) -> Result<&'a str, String> {
         self.get(name)
             .ok_or_else(|| format!("missing required flag {name}"))
     }
 
-    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    fn parse_or<T: std::str::FromStr>(&self, name: &'static str, default: T) -> Result<T, String> {
         match self.get(name) {
             None => Ok(default),
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("invalid value for {name}: {v}")),
+        }
+    }
+
+    /// Errors on the first `--name` the command never asked for.
+    fn reject_unknown(&self) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        match self
+            .args
+            .iter()
+            .find(|a| a.starts_with("--") && !asked.contains(&a.as_str()))
+        {
+            Some(flag) => Err(format!("unknown flag {flag}")),
+            None => Ok(()),
         }
     }
 }
@@ -285,22 +293,13 @@ fn parse_u32_list(value: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-fn parse_threads(flags: &Flags<'_>) -> Result<Option<usize>, String> {
-    match flags.get("--threads") {
+/// An optional count flag that must be at least 1 when given.
+fn parse_count(flags: &Flags<'_>, name: &'static str) -> Result<Option<usize>, String> {
+    match flags.get(name) {
         None => Ok(None),
         Some(v) => match v.parse::<usize>() {
-            Ok(t) if t >= 1 => Ok(Some(t)),
-            _ => Err(format!("invalid value for --threads: {v}")),
-        },
-    }
-}
-
-fn parse_shards(flags: &Flags<'_>) -> Result<Option<usize>, String> {
-    match flags.get("--shards") {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(s) if s >= 1 => Ok(Some(s)),
-            _ => Err(format!("invalid value for --shards: {v}")),
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!("invalid value for {name}: {v}")),
         },
     }
 }
@@ -346,8 +345,29 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     if command == "--help" || command == "-h" || command == "help" {
         return Ok(Command::Help);
     }
-    let flags = Flags { args: &args[1..] };
-    match command.as_str() {
+    // `snapshot` takes an action word before its flags
+    let flag_args = if command == "snapshot" {
+        args.get(2..).unwrap_or_default()
+    } else {
+        &args[1..]
+    };
+    let flags = Flags {
+        args: flag_args,
+        asked: RefCell::default(),
+    };
+    let parsed = parse_command(command, args.get(1), &flags)?;
+    flags.reject_unknown()?;
+    Ok(parsed)
+}
+
+/// Builds one command from its flags; `action` is the word after the
+/// command name, which only `snapshot` reads.
+fn parse_command(
+    command: &str,
+    action: Option<&String>,
+    flags: &Flags<'_>,
+) -> Result<Command, String> {
+    match command {
         "generate" => Ok(Command::Generate {
             kind: parse_kind(flags.required("--kind")?)?,
             vertices: flags
@@ -361,28 +381,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "stats" => Ok(Command::Stats {
             graph: flags.required("--graph")?.to_string(),
-            threads: parse_threads(&flags)?,
         }),
         "snapshot" => {
-            let action = args
-                .get(1)
-                .ok_or_else(|| "snapshot requires an action: save or load".to_string())?;
-            let flags = Flags { args: &args[2..] };
+            let action =
+                action.ok_or_else(|| "snapshot requires an action: save or load".to_string())?;
             match action.as_str() {
-                "save" => {
-                    let graph = flags.get("--graph").map(str::to_string);
-                    let index = flags.get("--index").map(str::to_string);
-                    if graph.is_some() == index.is_some() {
-                        return Err(
-                            "snapshot save takes exactly one of --graph or --index".to_string()
-                        );
-                    }
-                    Ok(Command::SnapshotSave {
-                        graph,
-                        index,
-                        out: flags.required("--out")?.to_string(),
-                    })
-                }
+                "save" => Ok(Command::SnapshotSave {
+                    graph: flags.required("--graph")?.to_string(),
+                    out: flags.required("--out")?.to_string(),
+                }),
                 "load" => Ok(Command::SnapshotLoad {
                     file: flags.required("--file")?.to_string(),
                     buffered: flags.has("--buffered"),
@@ -411,8 +418,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 l: flags.parse_or("--l", 5usize)?,
                 json: flags.has("--json"),
                 update_rate,
-                compact_threshold: parse_compact_threshold(&flags)?,
-                repack_threshold: parse_repack_threshold(&flags)?,
+                compact_threshold: parse_compact_threshold(flags)?,
+                repack_threshold: parse_repack_threshold(flags)?,
             })
         }
         "update" => {
@@ -425,8 +432,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 index: flags.required("--index")?.to_string(),
                 updates: flags.required("--updates")?.to_string(),
                 batch,
-                compact_threshold: parse_compact_threshold(&flags)?,
-                repack_threshold: parse_repack_threshold(&flags)?,
+                compact_threshold: parse_compact_threshold(flags)?,
+                repack_threshold: parse_repack_threshold(flags)?,
                 out_graph: flags.get("--out-graph").map(str::to_string),
                 out_index: flags.get("--out-index").map(str::to_string),
                 keywords: match flags.get("--keywords") {
@@ -449,8 +456,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 None => vec![0.1, 0.2, 0.3],
                 Some(v) => parse_f64_list(v)?,
             },
-            threads: parse_threads(&flags)?,
-            shards: parse_shards(&flags)?,
+            threads: parse_count(flags, "--threads")?,
+            shards: parse_count(flags, "--shards")?,
         }),
         "query" | "dquery" => {
             let keywords = parse_u32_list(flags.required("--keywords")?)?;
@@ -472,7 +479,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     l,
                     json,
                     explain: flags.has("--explain"),
-                    eager: flags.has("--eager"),
                 })
             } else {
                 Ok(Command::DQuery {
@@ -548,7 +554,6 @@ mod tests {
                 l,
                 json,
                 explain,
-                eager,
                 ..
             } => {
                 assert_eq!(keywords, vec![1, 2, 3]);
@@ -558,7 +563,6 @@ mod tests {
                 assert_eq!(l, 5);
                 assert!(!json);
                 assert!(!explain);
-                assert!(!eager);
             }
             other => panic!("expected query, got {other:?}"),
         }
@@ -566,25 +570,14 @@ mod tests {
 
     #[test]
     fn parses_query_explain_and_eager() {
-        let cmd = parse(&argv(&[
-            "query",
-            "--graph",
-            "g",
-            "--index",
-            "i",
-            "--keywords",
-            "1",
-            "--explain",
-            "--eager",
-        ]))
-        .unwrap();
+        let query = ["query", "--graph", "g", "--index", "i", "--keywords", "1"];
+        let cmd = parse(&argv(&[&query[..], &["--explain"]].concat())).unwrap();
         match cmd {
-            Command::Query { explain, eager, .. } => {
-                assert!(explain);
-                assert!(eager);
-            }
+            Command::Query { explain, .. } => assert!(explain),
             other => panic!("expected query, got {other:?}"),
         }
+        // the eager reference path is not a CLI option
+        assert!(parse(&argv(&[&query[..], &["--eager"]].concat())).is_err());
     }
 
     #[test]
@@ -682,14 +675,6 @@ mod tests {
             "index", "--graph", "g", "--out", "i", "--shards", "many"
         ]))
         .is_err());
-        let cmd = parse(&argv(&["stats", "--graph", "g", "--threads", "2"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Stats {
-                graph: "g".to_string(),
-                threads: Some(2),
-            }
-        );
         // zero or garbage thread counts are rejected
         assert!(parse(&argv(&[
             "index",
@@ -701,31 +686,28 @@ mod tests {
             "0"
         ]))
         .is_err());
-        assert!(parse(&argv(&["stats", "--graph", "g", "--threads", "lots"])).is_err());
+        assert!(parse(&argv(&[
+            "index",
+            "--graph",
+            "g",
+            "--out",
+            "i",
+            "--threads",
+            "lots"
+        ]))
+        .is_err());
     }
 
     #[test]
     fn parses_snapshot_commands() {
         let cmd = parse(&argv(&[
-            "snapshot", "save", "--graph", "g.json", "--out", "g.snap",
+            "snapshot", "save", "--graph", "g.txt", "--out", "g.snap",
         ]));
         assert_eq!(
             cmd.unwrap(),
             Command::SnapshotSave {
-                graph: Some("g.json".to_string()),
-                index: None,
+                graph: "g.txt".to_string(),
                 out: "g.snap".to_string(),
-            }
-        );
-        let cmd = parse(&argv(&[
-            "snapshot", "save", "--index", "i.json", "--out", "i.snap",
-        ]));
-        assert_eq!(
-            cmd.unwrap(),
-            Command::SnapshotSave {
-                graph: None,
-                index: Some("i.json".to_string()),
-                out: "i.snap".to_string(),
             }
         );
         let cmd = parse(&argv(&[
@@ -742,8 +724,13 @@ mod tests {
                 buffered: true,
             }
         );
-        // both or neither of --graph/--index is an error; unknown actions too
+        // save takes only a graph (an index is always written as a
+        // snapshot already); a missing graph and unknown actions are errors
         assert!(parse(&argv(&["snapshot", "save", "--out", "x"])).is_err());
+        assert!(parse(&argv(&[
+            "snapshot", "save", "--index", "i.json", "--out", "i.snap"
+        ]))
+        .is_err());
         assert!(parse(&argv(&[
             "snapshot", "save", "--graph", "g", "--index", "i", "--out", "x"
         ]))
@@ -982,5 +969,52 @@ mod tests {
         ]))
         .is_err());
         assert!(parse(&argv(&["generate", "--vertices", "10", "--out", "x"])).is_err());
+        // every flag a command does not take is a usage error
+        for bad in [
+            &[
+                "generate",
+                "--kind",
+                "uniform",
+                "--vertices",
+                "10",
+                "--out",
+                "g.txt",
+                "--bogus-flag",
+                "3",
+            ][..],
+            &["stats", "--graph", "g.txt", "--threads", "3", "--whatever"],
+            &["stats", "--graph", "g.txt", "--threads", "3"],
+            &[
+                "query",
+                "--graph",
+                "g",
+                "--index",
+                "i",
+                "--keywords",
+                "1",
+                "--eagr",
+            ],
+            // a typo of --shards must not silently build one shard
+            &["index", "--graph", "g", "--out", "i", "--shard", "4"],
+            // flags of a sibling command are not shared
+            &[
+                "dquery",
+                "--graph",
+                "g",
+                "--index",
+                "i",
+                "--keywords",
+                "1",
+                "--explain",
+            ],
+            &["snapshot", "load", "--file", "g.snap", "--out", "x"],
+        ] {
+            let err = parse(&argv(bad)).expect_err(&bad.join(" "));
+            assert!(
+                err.starts_with("unknown flag --"),
+                "{}: {err}",
+                bad.join(" ")
+            );
+        }
     }
 }

@@ -3,11 +3,11 @@
 use crate::args::Command;
 use icde_core::dtopl::{DTopLProcessor, DTopLQuery, DTopLStrategy};
 use icde_core::index::{CommunityIndex, IndexBuilder};
-use icde_core::persist;
 use icde_core::precompute::PrecomputeConfig;
 use icde_core::query::TopLQuery;
 use icde_core::seed::SeedCommunity;
 use icde_core::serving::{EpochLatency, LatencyHistogram, ServingConfig, ServingRuntime};
+use icde_core::snapshot::{read_index_snapshot, write_index_snapshot};
 use icde_core::streaming::{EdgeUpdate, MaintainerStats, StreamingMaintainer};
 use icde_core::topl::TopLProcessor;
 use icde_graph::generators::DatasetSpec;
@@ -48,10 +48,7 @@ pub fn run(command: Command) -> Result<(), String> {
             );
             Ok(())
         }
-        // `--threads` is accepted for interface symmetry with `index`; graph
-        // statistics themselves are single-threaded today, so it only binds
-        // once stats grow a pre-computation-backed section.
-        Command::Stats { graph, threads: _ } => {
+        Command::Stats { graph } => {
             let g = load_graph(&graph)?;
             let stats = graph_statistics(&g);
             println!(
@@ -78,11 +75,7 @@ pub fn run(command: Command) -> Result<(), String> {
             let start = std::time::Instant::now();
             let index = IndexBuilder::new(config).with_fanout(fanout).build(&g);
             let offline = start.elapsed();
-            if out.ends_with(".snap") {
-                persist::save_index_snapshot(&index, &out).map_err(|e| e.to_string())?;
-            } else {
-                persist::save_index(&index, &out).map_err(|e| e.to_string())?;
-            }
+            write_index_snapshot(&index, &out).map_err(|e| e.to_string())?;
             let rate = g.num_vertices() as f64 / offline.as_secs_f64().max(f64::MIN_POSITIVE);
             println!(
                 "offline build: {:.2?} on {} worker thread{}, {} shard{} ({:.0} vertices/sec)",
@@ -111,18 +104,13 @@ pub fn run(command: Command) -> Result<(), String> {
             l,
             json,
             explain,
-            eager,
         } => {
             let g = load_graph(&graph)?;
-            let idx = persist::load_index_auto(&index).map_err(|e| e.to_string())?;
+            let idx = load_index(&index)?;
             let query = TopLQuery::new(KeywordSet::from_ids(keywords), k, r, theta, l);
-            let processor = TopLProcessor::new(&g, &idx);
-            let answer = if eager {
-                processor.run_eager(&query)
-            } else {
-                processor.run(&query)
-            }
-            .map_err(|e| e.to_string())?;
+            let answer = TopLProcessor::new(&g, &idx)
+                .run(&query)
+                .map_err(|e| e.to_string())?;
             if json {
                 println!(
                     "{}",
@@ -154,7 +142,7 @@ pub fn run(command: Command) -> Result<(), String> {
             json,
         } => {
             let g = load_graph(&graph)?;
-            let idx = persist::load_index_auto(&index).map_err(|e| e.to_string())?;
+            let idx = load_index(&index)?;
             let base = TopLQuery::new(KeywordSet::from_ids(keywords), k, r, theta, l);
             let query = DTopLQuery::new(base, n);
             let answer = DTopLProcessor::new(&g, &idx)
@@ -192,7 +180,7 @@ pub fn run(command: Command) -> Result<(), String> {
             repack_threshold,
         } => {
             let g = load_graph(&graph)?;
-            let idx = persist::load_index_auto(&index).map_err(|e| e.to_string())?;
+            let idx = load_index(&index)?;
             run_serve(
                 g,
                 idx,
@@ -228,7 +216,7 @@ pub fn run(command: Command) -> Result<(), String> {
             json,
         } => {
             let g = load_graph(&graph)?;
-            let idx = persist::load_index_auto(&index).map_err(|e| e.to_string())?;
+            let idx = load_index(&index)?;
             let text = std::fs::read_to_string(&updates)
                 .map_err(|e| format!("cannot read {updates}: {e}"))?;
             let stream = parse_update_stream(&text)?;
@@ -261,12 +249,7 @@ pub fn run(command: Command) -> Result<(), String> {
                 write_graph_out(maintainer.graph(), out)?;
             }
             if let Some(out) = &out_index {
-                if out.ends_with(".snap") {
-                    persist::save_index_snapshot(maintainer.index(), out)
-                        .map_err(|e| e.to_string())?;
-                } else {
-                    persist::save_index(maintainer.index(), out).map_err(|e| e.to_string())?;
-                }
+                write_index_snapshot(maintainer.index(), out).map_err(|e| e.to_string())?;
             }
 
             if json {
@@ -410,32 +393,18 @@ pub fn run(command: Command) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::SnapshotSave { graph, index, out } => {
-            if let Some(graph) = graph {
-                let g = load_graph(&graph)?;
-                graph_snapshot::write_graph_snapshot(&g, &out).map_err(|e| e.to_string())?;
-                println!(
-                    "wrote graph snapshot {} ({} vertices, {} edges, {} bytes, fingerprint \
-                     {:#018x})",
-                    out,
-                    g.num_vertices(),
-                    g.num_edges(),
-                    file_size(&out),
-                    g.content_fingerprint()
-                );
-            } else if let Some(index) = index {
-                let idx = persist::load_index_auto(&index).map_err(|e| e.to_string())?;
-                persist::save_index_snapshot(&idx, &out).map_err(|e| e.to_string())?;
-                println!(
-                    "wrote index snapshot {} ({} nodes, height {}, {} bytes, fingerprint \
-                     {:#018x})",
-                    out,
-                    idx.node_count(),
-                    idx.height(),
-                    file_size(&out),
-                    idx.content_fingerprint()
-                );
-            }
+        Command::SnapshotSave { graph, out } => {
+            let g = load_graph(&graph)?;
+            graph_snapshot::write_graph_snapshot(&g, &out).map_err(|e| e.to_string())?;
+            println!(
+                "wrote graph snapshot {} ({} vertices, {} edges, {} bytes, fingerprint \
+                 {:#018x})",
+                out,
+                g.num_vertices(),
+                g.num_edges(),
+                file_size(&out),
+                g.content_fingerprint()
+            );
             Ok(())
         }
         Command::SnapshotLoad { file, buffered } => {
@@ -639,14 +608,11 @@ fn parse_update_stream(text: &str) -> Result<Vec<EdgeUpdate>, String> {
     Ok(stream)
 }
 
-/// Writes a graph to `out`, dispatching on the extension like [`load_graph`]
-/// does on content: `.snap` → binary snapshot, `.json` → JSON, anything
-/// else → attributed edge list.
+/// Writes a graph to `out`: a `.snap` name gets a binary snapshot, any
+/// other name an attributed edge list.
 fn write_graph_out(g: &SocialNetwork, out: &str) -> Result<(), String> {
     if out.ends_with(".snap") {
         graph_snapshot::write_graph_snapshot(g, out).map_err(|e| e.to_string())
-    } else if out.ends_with(".json") {
-        io::write_json_file(g, out).map_err(|e| e.to_string())
     } else {
         io::write_edge_list_file(g, out).map_err(|e| e.to_string())
     }
@@ -1044,15 +1010,19 @@ fn run_serve(g: SocialNetwork, idx: CommunityIndex, options: ServeOptions) -> Re
     Ok(())
 }
 
+/// Reads a graph: a binary snapshot if the file starts with the snapshot
+/// magic bytes, an attributed edge list otherwise.
 fn load_graph(path: &str) -> Result<SocialNetwork, String> {
-    // binary snapshots are identified by magic bytes, not extension
     if path_is_snapshot(path) {
         graph_snapshot::read_graph_snapshot(path).map_err(|e| e.to_string())
-    } else if path.ends_with(".json") {
-        io::read_json_file(path).map_err(|e| e.to_string())
     } else {
         io::read_edge_list_file(path).map_err(|e| e.to_string())
     }
+}
+
+/// Reads an index; the binary snapshot is its only on-disk format.
+fn load_index(path: &str) -> Result<CommunityIndex, String> {
+    read_index_snapshot(path).map_err(|e| e.to_string())
 }
 
 fn print_communities(communities: &[SeedCommunity]) {
@@ -1085,7 +1055,8 @@ mod tests {
     #[test]
     fn generate_index_query_pipeline() {
         let graph_path = temp_path("topl_cli_test_graph.txt");
-        let index_path = temp_path("topl_cli_test_index.json");
+        let index_path = temp_path("topl_cli_test_index.idx");
+        let index_snap = temp_path("topl_cli_test_index.snap");
 
         run(Command::Generate {
             kind: DatasetKind::Uniform,
@@ -1099,20 +1070,26 @@ mod tests {
 
         run(Command::Stats {
             graph: graph_path.clone(),
-            threads: None,
         })
         .unwrap();
 
-        run(Command::Index {
-            graph: graph_path.clone(),
-            out: index_path.clone(),
-            r_max: 3,
-            fanout: 8,
-            thresholds: vec![0.1, 0.2, 0.3],
-            threads: Some(2),
-            shards: Some(2),
-        })
-        .unwrap();
+        // the index is written as a snapshot whatever its name
+        for out in [&index_path, &index_snap] {
+            run(Command::Index {
+                graph: graph_path.clone(),
+                out: out.clone(),
+                r_max: 3,
+                fanout: 8,
+                thresholds: vec![0.1, 0.2, 0.3],
+                threads: Some(2),
+                shards: Some(2),
+            })
+            .unwrap();
+        }
+        assert_eq!(
+            std::fs::read(&index_path).unwrap(),
+            std::fs::read(&index_snap).unwrap()
+        );
 
         run(Command::Query {
             graph: graph_path.clone(),
@@ -1124,7 +1101,6 @@ mod tests {
             l: 3,
             json: true,
             explain: true,
-            eager: false,
         })
         .unwrap();
 
@@ -1143,6 +1119,7 @@ mod tests {
 
         let _ = std::fs::remove_file(graph_path);
         let _ = std::fs::remove_file(index_path);
+        let _ = std::fs::remove_file(index_snap);
     }
 
     #[test]
@@ -1163,8 +1140,7 @@ mod tests {
 
         // graph → binary snapshot; index built straight into a snapshot
         run(Command::SnapshotSave {
-            graph: Some(graph_path.clone()),
-            index: None,
+            graph: graph_path.clone(),
             out: graph_snap.clone(),
         })
         .unwrap();
@@ -1204,7 +1180,6 @@ mod tests {
             l: 3,
             json: false,
             explain: false,
-            eager: true,
         })
         .unwrap();
 
@@ -1227,7 +1202,7 @@ mod tests {
     #[test]
     fn serve_runs_a_small_workload() {
         let graph_path = temp_path("topl_cli_serve_graph.txt");
-        let index_path = temp_path("topl_cli_serve_index.json");
+        let index_path = temp_path("topl_cli_serve_index.idx");
         run(Command::Generate {
             kind: DatasetKind::Uniform,
             vertices: 150,
@@ -1288,10 +1263,10 @@ mod tests {
     #[test]
     fn update_stream_refreshes_graph_and_index() {
         let graph_path = temp_path("topl_cli_update_graph.txt");
-        let index_path = temp_path("topl_cli_update_index.json");
+        let index_path = temp_path("topl_cli_update_index.idx");
         let updates_path = temp_path("topl_cli_update_stream.txt");
         let out_graph = temp_path("topl_cli_update_graph_out.snap");
-        let out_index = temp_path("topl_cli_update_index_out.json");
+        let out_index = temp_path("topl_cli_update_index_out.idx");
 
         run(Command::Generate {
             kind: DatasetKind::Uniform,
@@ -1374,7 +1349,6 @@ mod tests {
             l: 3,
             json: false,
             explain: false,
-            eager: false,
         })
         .unwrap();
 
@@ -1406,7 +1380,7 @@ mod tests {
         })
         .unwrap();
         let reloaded_graph = load_graph(&out_graph).unwrap();
-        let reloaded_index = persist::load_index_auto(&out_index).unwrap();
+        let reloaded_index = load_index(&out_index).unwrap();
         let scratch_index = IndexBuilder::new(PrecomputeConfig::new(2, vec![0.1, 0.2, 0.3]))
             .with_fanout(8)
             .build(&reloaded_graph);
@@ -1447,21 +1421,49 @@ mod tests {
     fn missing_files_produce_errors() {
         assert!(run(Command::Stats {
             graph: "/no/such/file.txt".into(),
-            threads: None,
         })
         .is_err());
-        assert!(run(Command::Query {
-            graph: "/no/such/file.txt".into(),
-            index: "/no/such/index.json".into(),
-            keywords: vec![1],
-            k: 3,
-            r: 2,
-            theta: 0.2,
-            l: 2,
-            json: false,
-            explain: false,
-            eager: false,
+        let query = |graph: &str, index: &str| {
+            run(Command::Query {
+                graph: graph.into(),
+                index: index.into(),
+                keywords: vec![1],
+                k: 3,
+                r: 2,
+                theta: 0.2,
+                l: 2,
+                json: false,
+                explain: false,
+            })
+        };
+        assert!(query("/no/such/file.txt", "/no/such/index.snap").is_err());
+
+        // an index argument must be a snapshot: an edge list, or an index in
+        // the retired JSON format, is rejected by its magic bytes
+        let graph_path = temp_path("topl_cli_bad_index_graph.txt");
+        let old_json_index = temp_path("topl_cli_bad_index.json");
+        run(Command::Generate {
+            kind: DatasetKind::Uniform,
+            vertices: 50,
+            seed: 4,
+            keyword_domain: 10,
+            keywords_per_vertex: 3,
+            out: graph_path.clone(),
         })
-        .is_err());
+        .unwrap();
+        std::fs::write(
+            &old_json_index,
+            r#"{"format_version":3,"index":{"precomputed":{"config":{"r_max":2}}}}"#,
+        )
+        .unwrap();
+        for index in [&graph_path, &old_json_index] {
+            assert_eq!(
+                query(&graph_path, index).unwrap_err(),
+                "not a TopL-ICDE snapshot (bad magic)",
+                "{index}"
+            );
+        }
+        let _ = std::fs::remove_file(graph_path);
+        let _ = std::fs::remove_file(old_json_index);
     }
 }

@@ -3,16 +3,17 @@
 //! ```text
 //! topl-icde generate --kind uniform --vertices 10000 --out graph.txt
 //! topl-icde stats    --graph graph.txt
-//! topl-icde index    --graph graph.txt --out graph.index.json
-//! topl-icde query    --graph graph.txt --index graph.index.json \
+//! topl-icde index    --graph graph.txt --out graph.index.snap
+//! topl-icde query    --graph graph.txt --index graph.index.snap \
 //!                    --keywords 0,1,2,3,4 --k 4 --r 2 --theta 0.2 --l 5
-//! topl-icde dquery   --graph graph.txt --index graph.index.json \
+//! topl-icde dquery   --graph graph.txt --index graph.index.snap \
 //!                    --keywords 0,1,2 --l 3 --n 3
 //! ```
 //!
-//! Graphs are read/written in the attributed edge-list format of
-//! `icde_graph::io` (plain SNAP edge lists also parse); indexes are stored as
-//! versioned JSON via `icde_core::persist`.
+//! Graphs are read as the attributed edge list of `icde_graph::io` (plain
+//! SNAP edge lists also parse) or as a binary snapshot of
+//! `icde_graph::snapshot`; indexes are stored only as binary snapshots via
+//! `icde_core::snapshot`.
 
 mod args;
 mod commands;

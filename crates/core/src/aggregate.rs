@@ -23,7 +23,6 @@
 use crate::precompute::RadiusAggregate;
 use icde_graph::snapshot::{FlatVec, SectionShadow};
 use icde_graph::{BitVector, SignatureRef};
-use serde::{Deserialize, Serialize};
 
 /// Borrowed view of one `(entity, radius)` aggregate row — field-compatible
 /// with the owned [`RadiusAggregate`].
@@ -52,7 +51,7 @@ impl AggregateRef<'_> {
 }
 
 /// The flattened aggregate store (see the module docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateTable {
     entities: usize,
     r_max: u32,
@@ -126,8 +125,8 @@ impl AggregateTable {
     }
 
     /// Checks the dimension/array-length invariants every accessor indexes
-    /// by. Run on every untrusted source (binary snapshot sections, JSON
-    /// deserialisation) so a malformed table errors instead of panicking on
+    /// by. Run on every table assembled from raw arrays (the binary snapshot
+    /// loader's sections) so a malformed table errors instead of panicking on
     /// first row access.
     pub(crate) fn validate(&self) -> Result<(), String> {
         if self.r_max == 0 || self.signature_bits == 0 || self.num_thresholds == 0 {

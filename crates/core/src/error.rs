@@ -25,9 +25,6 @@ pub enum CoreError {
         /// Maximum radius supported by the index.
         r_max: u32,
     },
-    /// An index could not be serialised or deserialised (I/O failure,
-    /// malformed input, or an unsupported on-disk format version).
-    Serialization(String),
     /// The index was built over a graph with a different number of vertices.
     IndexGraphMismatch {
         /// Vertices in the graph passed to the processor.
@@ -47,7 +44,6 @@ impl fmt::Display for CoreError {
             CoreError::InvalidTheta(t) => {
                 write!(f, "influence threshold must be in [0, 1), got {t}")
             }
-            CoreError::Serialization(msg) => write!(f, "index serialisation error: {msg}"),
             CoreError::RadiusExceedsIndex { requested, r_max } => write!(
                 f,
                 "query radius {requested} exceeds the index's maximum pre-computed radius {r_max}"

@@ -33,7 +33,6 @@ use crate::aggregate::{AggregateRef, AggregateTable, TableShadow};
 use crate::precompute::{PrecomputeConfig, PrecomputeShadow, PrecomputedData, RadiusAggregate};
 use icde_graph::snapshot::{fnv1a, fnv1a_extend, FlatVec};
 use icde_graph::{vertex_ids_from_raw, SocialNetwork, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Default number of children per non-leaf node (the fan-out `γ`).
 pub const DEFAULT_FANOUT: usize = 8;
@@ -125,7 +124,7 @@ pub enum NodeRef<'a> {
 
 /// The tree index `I` over one social network (flat storage, see the module
 /// docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CommunityIndex {
     /// The pre-computed data the index aggregates.
     pub precomputed: PrecomputedData,
@@ -464,14 +463,14 @@ impl CommunityIndex {
     }
 
     /// Checks every structural invariant traversal relies on, without
-    /// assuming anything about where the data came from. Both untrusted
-    /// sources — the binary snapshot loader and the JSON deserialiser —
-    /// run this before an index is handed to callers, so no accessor can
-    /// go out of bounds, loop, or panic on a malformed file afterwards.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        // the serde derive can produce arbitrary field combinations; check
-        // the aggregate tables' internal consistency first so the per-node
-        // walk below cannot index past their arrays
+    /// assuming anything about where the data came from. The binary
+    /// snapshot loader runs this (through [`Self::from_flat_parts`]) before
+    /// an index is handed to callers, so no accessor can go out of bounds,
+    /// loop, or panic on a malformed file afterwards.
+    fn validate(&self) -> Result<(), String> {
+        // a loaded file can hold arbitrary section combinations; check the
+        // aggregate tables' internal consistency first so the per-node walk
+        // below cannot index past their arrays
         let config = &self.precomputed.config;
         self.precomputed.validate()?;
         self.node_aggregates.validate()?;
@@ -967,6 +966,20 @@ mod tests {
             bad_start,
             item_pool.to_vec(),
             leaf_mask.to_vec(),
+            index.node_aggregates().clone(),
+            index.root(),
+            index.num_graph_vertices(),
+            index.fanout(),
+            index.leaf_capacity(),
+        )
+        .is_err());
+        // a cyclic "tree": with the leaf mask cleared, node 0 becomes
+        // internal and its vertex ids read as child ids ≥ its own id
+        assert!(CommunityIndex::from_flat_parts(
+            index.precomputed.clone(),
+            item_start.to_vec(),
+            item_pool.to_vec(),
+            vec![0u64; leaf_mask.len()],
             index.node_aggregates().clone(),
             index.root(),
             index.num_graph_vertices(),

@@ -35,7 +35,6 @@ pub mod baseline;
 pub mod dtopl;
 pub mod error;
 pub mod index;
-pub mod persist;
 pub mod precompute;
 pub mod progressive;
 pub mod pruning;

@@ -79,7 +79,6 @@ use icde_graph::{
 };
 use icde_influence::{InfluenceConfig, InfluenceEvaluator};
 use icde_truss::support::edge_supports_global;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -93,7 +92,8 @@ pub const SEED_BOUND_SUPPORT: u32 = 3;
 
 /// Stored stand-in for "no keyword-unconstrained seed community exists at
 /// this centre" (no community exists for any `k ≥ `[`SEED_BOUND_SUPPORT`]
-/// either, so the true bound is `-∞` — which JSON cannot represent).
+/// either, so the true bound is `-∞`). Index snapshots store this value in
+/// the seed-bound section, so changing it changes the on-disk format.
 /// [`PrecomputedData::seed_score_bound`] maps any negative stored value back
 /// to `-∞`.
 pub const NO_SEED_COMMUNITY: f64 = -1.0;
@@ -115,9 +115,9 @@ pub struct PrecomputeConfig {
     /// regardless of `parallel` (`Some(1)` is the sequential build); `None`
     /// defers to `parallel` (`available_parallelism()` workers when set).
     ///
-    /// A runtime knob, not data: neither the JSON nor the binary index
-    /// format persists it (all loads yield `None`), so artifacts stay
-    /// independent of the machine that built them.
+    /// A runtime knob, not data: the index snapshot does not store it (all
+    /// loads yield `None`), so artifacts stay independent of the machine
+    /// that built them.
     pub num_threads: Option<usize>,
     /// Number of contiguous vertex-id shards the offline build partitions
     /// the aggregate table into. `None` (and `Some(1)`) is the unsharded
@@ -127,36 +127,9 @@ pub struct PrecomputeConfig {
     /// actually touches, bounding per-worker memory by the shard's r_max
     /// ball cover instead of `n`. Output is bit-identical either way.
     ///
-    /// A runtime knob like `num_threads`: never persisted, all loads yield
-    /// `None`.
+    /// A runtime knob like `num_threads`: the index snapshot does not store
+    /// it, all loads yield `None`.
     pub num_shards: Option<usize>,
-}
-
-/// Hand-written so `num_threads` and `num_shards` never leak into persisted
-/// artifacts (see their field docs); everything else serialises exactly as
-/// the derive would.
-impl Serialize for PrecomputeConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("r_max".to_string(), self.r_max.to_value()),
-            ("thresholds".to_string(), self.thresholds.to_value()),
-            ("signature_bits".to_string(), self.signature_bits.to_value()),
-            ("parallel".to_string(), self.parallel.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for PrecomputeConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(PrecomputeConfig {
-            r_max: serde::__de_field(v, "PrecomputeConfig", "r_max")?,
-            thresholds: serde::__de_field(v, "PrecomputeConfig", "thresholds")?,
-            signature_bits: serde::__de_field(v, "PrecomputeConfig", "signature_bits")?,
-            parallel: serde::__de_field(v, "PrecomputeConfig", "parallel")?,
-            num_threads: None,
-            num_shards: None,
-        })
-    }
 }
 
 impl Default for PrecomputeConfig {
@@ -368,7 +341,7 @@ impl EngineStats {
 }
 
 /// Aggregates of one `(vertex, radius)` pair, i.e. one r-hop region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadiusAggregate {
     /// OR of the keyword signatures of every vertex in the region (`BV_r`).
     pub keyword_signature: BitVector,
@@ -438,7 +411,7 @@ pub struct VertexPrecompute {
 /// The output of the offline phase for a whole graph: the per-vertex
 /// aggregates flattened into one [`AggregateTable`] (`entity` = vertex id)
 /// plus the global per-edge supports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrecomputedData {
     /// The configuration the data was computed with.
     pub config: PrecomputeConfig,
@@ -756,7 +729,7 @@ impl PrecomputedData {
     }
 
     /// Checks internal table consistency and agreement with the
-    /// configuration (run on every untrusted source; see
+    /// configuration (run on every loaded index; see
     /// [`crate::aggregate::AggregateTable::validate`]).
     pub(crate) fn validate(&self) -> Result<(), String> {
         self.table.validate()?;
@@ -1642,24 +1615,6 @@ mod tests {
             assert_eq!(seq.table(), par.table());
             assert_eq!(seq.seed_bounds(), par.seed_bounds());
         }
-    }
-
-    #[test]
-    fn num_threads_never_persists() {
-        // the JSON round-trip must drop the runtime knobs and keep the data
-        let config = PrecomputeConfig::new(2, vec![0.1, 0.4])
-            .with_num_threads(Some(7))
-            .with_num_shards(Some(4));
-        let json = serde_json::to_string(&config).unwrap();
-        assert!(!json.contains("num_threads"), "runtime knob leaked: {json}");
-        assert!(!json.contains("num_shards"), "runtime knob leaked: {json}");
-        let back: PrecomputeConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.num_threads, None);
-        assert_eq!(back.num_shards, None);
-        assert_eq!(back.r_max, config.r_max);
-        assert_eq!(back.thresholds, config.thresholds);
-        assert_eq!(back.signature_bits, config.signature_bits);
-        assert_eq!(back.parallel, config.parallel);
     }
 
     #[test]

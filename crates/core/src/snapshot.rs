@@ -7,7 +7,7 @@
 //! ([`crate::aggregate::AggregateTable`]), the writer dumps each flat array
 //! as one section and the loader serves every section as a zero-copy
 //! [`icde_graph::snapshot::FlatVec`] view straight into the mapped (or
-//! buffered) file — no JSON parsing, no per-node allocation, no memcpy, so
+//! buffered) file — no parsing, no per-node allocation, no memcpy, so
 //! index load is O(1) in the table sizes. Incremental maintenance still
 //! works on a loaded index: the first mutation of any array copies it out
 //! of the file (whole-array copy-on-write via [`FlatVec::to_mut`]).

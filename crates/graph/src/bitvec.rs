@@ -14,14 +14,13 @@
 
 use crate::keywords::{Keyword, KeywordSet};
 use crate::types::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Default signature width in bits; matches a 2-word signature which is wide
 /// enough for the keyword domains used in the paper (|Σ| ≤ 80).
 pub const DEFAULT_SIGNATURE_BITS: usize = 128;
 
 /// A fixed-width bit vector storing hashed keyword signatures.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitVector {
     /// Number of usable bits (`B` in the paper).
     bits: u32,

@@ -21,7 +21,7 @@ pub enum GraphError {
     },
     /// The edge `(u, v)` does not exist.
     MissingEdge(VertexId, VertexId),
-    /// A text / JSON input could not be parsed.
+    /// An edge-list input could not be parsed.
     Parse { line: usize, message: String },
     /// Underlying I/O failure, carried as a message so the error stays `Clone`.
     Io(String),

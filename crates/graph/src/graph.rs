@@ -48,7 +48,6 @@ use crate::keywords::KeywordSet;
 use crate::overlay::{DeltaOverlay, EdgeIdRemap, Neighbors, Outgoing};
 use crate::snapshot::{fnv1a, fnv1a_extend, FlatVec};
 use crate::types::{is_valid_probability, EdgeId, VertexId, Weight};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -56,11 +55,6 @@ use std::sync::Arc;
 /// the overlay back into the CSR once tombstones + inserted edges exceed
 /// this fraction of the base edge count.
 pub const DEFAULT_COMPACT_THRESHOLD: f64 = 0.125;
-
-/// Persisted snapshot format version written by [`Serialize`]; version 1 (the
-/// PR-1 adjacency-list layout, no `format_version` field) is still accepted on
-/// read. See [`crate::io`] for the format documentation.
-pub const GRAPH_FORMAT_VERSION: u32 = 2;
 
 /// An attributed, undirected, weighted social network (Definition 1), frozen
 /// into a flat CSR store. Construct one through
@@ -965,136 +959,6 @@ fn merge_count(a: &[(VertexId, EdgeId)], b: &[(VertexId, EdgeId)]) -> usize {
     count
 }
 
-// ---------------------------------------------------------------------------
-// Versioned persistence
-// ---------------------------------------------------------------------------
-
-/// Serialises as the **version-2 snapshot**: the canonical edge table plus
-/// attributes. The CSR arrays are derived data and are rebuilt on load, which
-/// keeps snapshots smaller than the PR-1 layout (no redundant adjacency) and
-/// makes it impossible for a hand-edited file to desynchronise adjacency from
-/// the edge table. A pending delta overlay is folded into the written edge
-/// table (live edges in id order), so loading acts as an implicit compaction:
-/// edge ids are renumbered exactly as [`SocialNetwork::compact`] would.
-impl Serialize for SocialNetwork {
-    fn to_value(&self) -> Value {
-        let (edges, weight_forward, weight_backward) = if self.has_overlay() {
-            let mut edges = Vec::with_capacity(self.num_edges());
-            let mut wf = Vec::with_capacity(self.num_edges());
-            let mut wb = Vec::with_capacity(self.num_edges());
-            for (u, v, f, b) in self.edge_table_iter() {
-                edges.push((u, v));
-                wf.push(f);
-                wb.push(b);
-            }
-            (edges.to_value(), wf.to_value(), wb.to_value())
-        } else {
-            (
-                self.edges.as_slice().to_value(),
-                self.weight_forward.as_slice().to_value(),
-                self.weight_backward.as_slice().to_value(),
-            )
-        };
-        Value::Object(vec![
-            (
-                "format_version".to_string(),
-                Value::UInt(u64::from(GRAPH_FORMAT_VERSION)),
-            ),
-            (
-                "num_vertices".to_string(),
-                Value::UInt(self.num_vertices() as u64),
-            ),
-            ("edges".to_string(), edges),
-            ("weight_forward".to_string(), weight_forward),
-            ("weight_backward".to_string(), weight_backward),
-            ("keywords".to_string(), self.keywords.to_value()),
-        ])
-    }
-}
-
-/// Accepts both snapshot versions:
-///
-/// * **v2** (`format_version: 2`) — edge table + attributes, CSR rebuilt,
-/// * **v1** (`format_version: 1` or no marker field, has `adjacency`) — the
-///   PR-1 adjacency-list layout; the stored adjacency is ignored and rebuilt
-///   from the edge table.
-impl Deserialize for SocialNetwork {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let version = match v.get("format_version") {
-            Some(raw) => Some(
-                u32::from_value(raw)
-                    .map_err(|e| DeError(format!("SocialNetwork.format_version: {e}")))?,
-            ),
-            // PR-1 snapshots carry no marker field; the adjacency-list layout
-            // identifies them.
-            None if v.get("adjacency").is_some() => Some(1),
-            None => None,
-        };
-        let (num_vertices, edges, weight_forward, weight_backward, keywords) = match version {
-            Some(2) => (
-                serde::__de_field::<u64>(v, "SocialNetwork", "num_vertices")? as usize,
-                serde::__de_field::<Vec<(VertexId, VertexId)>>(v, "SocialNetwork", "edges")?,
-                serde::__de_field::<Vec<f64>>(v, "SocialNetwork", "weight_forward")?,
-                serde::__de_field::<Vec<f64>>(v, "SocialNetwork", "weight_backward")?,
-                serde::__de_field::<Vec<KeywordSet>>(v, "SocialNetwork", "keywords")?,
-            ),
-            Some(1) => {
-                // v1: vertex count comes from the adjacency-list length.
-                let n = match v.get("adjacency") {
-                    Some(Value::Array(rows)) => rows.len(),
-                    Some(other) => return Err(DeError::expected("array", other)),
-                    None => {
-                        return Err(DeError(
-                            "SocialNetwork: format_version 1 snapshot without adjacency"
-                                .to_string(),
-                        ))
-                    }
-                };
-                (
-                    n,
-                    serde::__de_field::<Vec<(VertexId, VertexId)>>(v, "SocialNetwork", "edges")?,
-                    serde::__de_field::<Vec<f64>>(v, "SocialNetwork", "weight_forward")?,
-                    serde::__de_field::<Vec<f64>>(v, "SocialNetwork", "weight_backward")?,
-                    serde::__de_field::<Vec<KeywordSet>>(v, "SocialNetwork", "keywords")?,
-                )
-            }
-            Some(version) => {
-                return Err(DeError(format!(
-                    "unsupported graph format_version {version} (this build reads \
-                     versions 1–{GRAPH_FORMAT_VERSION})"
-                )))
-            }
-            None => {
-                return Err(DeError(
-                    "SocialNetwork: neither format_version (v2) nor adjacency (v1) present"
-                        .to_string(),
-                ))
-            }
-        };
-        if keywords.len() != num_vertices {
-            return Err(DeError(format!(
-                "SocialNetwork: {} keyword sets for {num_vertices} vertices",
-                keywords.len()
-            )));
-        }
-        if edges.len() != weight_forward.len() || edges.len() != weight_backward.len() {
-            return Err(DeError(format!(
-                "SocialNetwork: {} edges but {}/{} directed weights",
-                edges.len(),
-                weight_forward.len(),
-                weight_backward.len()
-            )));
-        }
-        let table = edges
-            .into_iter()
-            .zip(weight_forward.into_iter().zip(weight_backward))
-            .map(|((u, v), (wf, wb))| (u, v, wf, wb))
-            .collect();
-        SocialNetwork::assemble(keywords, table)
-            .map_err(|e| DeError(format!("SocialNetwork: invalid snapshot: {e}")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1507,41 +1371,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn serde_roundtrip_is_version_2() {
-        let g = triangle();
-        let json = serde_json::to_string(&g).unwrap();
-        assert!(json.contains("\"format_version\":2"));
-        assert!(!json.contains("\"adjacency\""));
-        let back: SocialNetwork = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.num_vertices(), g.num_vertices());
-        assert_eq!(back.num_edges(), g.num_edges());
-        assert_eq!(
-            back.activation_probability(VertexId(0), VertexId(1))
-                .unwrap(),
-            0.8
-        );
-    }
-
-    #[test]
-    fn corrupt_snapshots_are_rejected() {
-        // duplicate edge
-        let bad = r#"{"format_version":2,"num_vertices":2,"edges":[[0,1],[1,0]],
-            "weight_forward":[0.5,0.5],"weight_backward":[0.5,0.5],
-            "keywords":[{"keywords":[]},{"keywords":[]}]}"#;
-        assert!(serde_json::from_str::<SocialNetwork>(bad).is_err());
-        // out-of-range endpoint
-        let bad = r#"{"format_version":2,"num_vertices":2,"edges":[[0,7]],
-            "weight_forward":[0.5],"weight_backward":[0.5],
-            "keywords":[{"keywords":[]},{"keywords":[]}]}"#;
-        assert!(serde_json::from_str::<SocialNetwork>(bad).is_err());
-        // future version
-        let bad = r#"{"format_version":99,"num_vertices":0,"edges":[],
-            "weight_forward":[],"weight_backward":[],"keywords":[]}"#;
-        assert!(serde_json::from_str::<SocialNetwork>(bad).is_err());
-        // neither version marker nor adjacency
-        assert!(serde_json::from_str::<SocialNetwork>("{\"edges\":[]}").is_err());
     }
 }

@@ -1,31 +1,20 @@
-//! Reading and writing social networks.
+//! Reading and writing social networks as text.
 //!
-//! Two formats are supported:
+//! The **attributed edge list** is the human-readable graph format, close
+//! to the SNAP edge lists the real DBLP/Amazon datasets ship in, extended
+//! with keyword and weight annotations so a full [`SocialNetwork`]
+//! round-trips:
 //!
-//! * **Attributed edge-list text** — a human-readable format close to the
-//!   SNAP edge lists the real DBLP/Amazon datasets ship in, extended with
-//!   keyword and weight annotations so a full [`SocialNetwork`] round-trips:
+//! ```text
+//! # comments and blank lines are ignored
+//! v <id> <kw1,kw2,...>          # vertex with keyword ids
+//! e <u> <v> <p_uv> [p_vu]       # undirected edge with directed weights
+//! ```
 //!
-//!   ```text
-//!   # comments and blank lines are ignored
-//!   v <id> <kw1,kw2,...>          # vertex with keyword ids
-//!   e <u> <v> <p_uv> [p_vu]       # undirected edge with directed weights
-//!   ```
-//!
-//!   Plain SNAP edge lists (`<u> <v>` per line) also parse: vertices are
-//!   created on demand with empty keyword sets and a default weight.
-//!
-//! * **JSON snapshots** via `serde_json` — exact, lossless round-trip of the
-//!   in-memory structure, used by the experiment harness to cache generated
-//!   graphs. Snapshots are **versioned** by a `format_version` field:
-//!
-//!   * *version 2* (written by this build): the canonical edge table,
-//!     directed weights and keyword sets; the CSR adjacency is derived data
-//!     and is rebuilt on load,
-//!   * *version 1* (PR-1 snapshots, no `format_version` field): the old
-//!     adjacency-list layout; still readable — the stored adjacency is
-//!     ignored in favour of a rebuild from the edge table, so old caches
-//!     migrate transparently.
+//! Plain SNAP edge lists (`<u> <v>` per line) also parse: vertices are
+//! created on demand with empty keyword sets and a default weight. The
+//! binary snapshot ([`crate::snapshot`]) is the other graph format: the
+//! same content, loaded without parsing.
 
 use crate::builder::GraphBuilder;
 use crate::error::{GraphError, GraphResult};
@@ -45,8 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// file behind but never a truncated file under the final name; concurrent
 /// writers last-write-win without ever exposing a partial file.
 ///
-/// Every snapshot writer in the workspace (graph JSON / edge lists, binary
-/// snapshots, the core index persistence) routes through this helper.
+/// Every file writer in the workspace (edge lists, graph and index
+/// snapshots) routes through this helper.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let file_name = path.file_name().ok_or_else(|| {
@@ -204,32 +193,6 @@ pub fn write_edge_list_file<P: AsRef<Path>>(g: &SocialNetwork, path: P) -> Graph
     Ok(())
 }
 
-/// Serialises a graph to a JSON snapshot string.
-pub fn to_json(g: &SocialNetwork) -> GraphResult<String> {
-    serde_json::to_string(g).map_err(|e| GraphError::Io(e.to_string()))
-}
-
-/// Loads a graph from a JSON snapshot string.
-pub fn from_json(json: &str) -> GraphResult<SocialNetwork> {
-    serde_json::from_str(json).map_err(|e| GraphError::Parse {
-        line: 0,
-        message: e.to_string(),
-    })
-}
-
-/// Writes a JSON snapshot of the graph to a file (crash-safe
-/// write-then-rename, see [`atomic_write`]).
-pub fn write_json_file<P: AsRef<Path>>(g: &SocialNetwork, path: P) -> GraphResult<()> {
-    atomic_write(path.as_ref(), to_json(g)?.as_bytes())?;
-    Ok(())
-}
-
-/// Reads a JSON snapshot of a graph from a file.
-pub fn read_json_file<P: AsRef<Path>>(path: P) -> GraphResult<SocialNetwork> {
-    let text = fs::read_to_string(path)?;
-    from_json(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,67 +272,6 @@ e 0 2 0.9
     }
 
     #[test]
-    fn json_roundtrip() {
-        let g = parse_edge_list(SAMPLE).unwrap();
-        let json = to_json(&g).unwrap();
-        assert!(json.contains("\"format_version\":2"), "{json}");
-        let back = from_json(&json).unwrap();
-        assert_eq!(back.num_vertices(), 3);
-        assert_eq!(back.num_edges(), 3);
-    }
-
-    /// A verbatim PR-1 snapshot of `SAMPLE` (captured from the seed
-    /// serialiser before the CSR refactor): adjacency-list layout, no
-    /// `format_version` field.
-    const V1_SNAPSHOT: &str = r#"{"adjacency":[[[1,0],[2,2]],[[0,0],[2,1]],[[0,2],[1,1]]],"edges":[[0,1],[1,2],[0,2]],"weight_forward":[0.8,0.6,0.9],"weight_backward":[0.7,0.6,0.9],"keywords":[{"keywords":[1,2]},{"keywords":[2]},{"keywords":[3]}]}"#;
-
-    #[test]
-    fn reads_version_1_snapshots() {
-        let old = from_json(V1_SNAPSHOT).unwrap();
-        let expected = parse_edge_list(SAMPLE).unwrap();
-        assert_eq!(old.num_vertices(), expected.num_vertices());
-        assert_eq!(old.num_edges(), expected.num_edges());
-        for (e, u, v) in expected.edges() {
-            assert_eq!(old.edge_endpoints(e), (u, v));
-            assert_eq!(old.directed_weight(e, u), expected.directed_weight(e, u));
-            assert_eq!(old.directed_weight(e, v), expected.directed_weight(e, v));
-        }
-        for v in expected.vertices() {
-            assert_eq!(old.keyword_set(v), expected.keyword_set(v));
-        }
-    }
-
-    #[test]
-    fn reads_v1_snapshot_with_explicit_version_marker() {
-        // v1 layout stamped with an explicit marker (e.g. by an external
-        // tool) must load the same as a marker-less PR-1 file
-        let stamped = V1_SNAPSHOT.replacen('{', "{\"format_version\":1,", 1);
-        let old = from_json(&stamped).unwrap();
-        assert_eq!(old.num_vertices(), 3);
-        assert_eq!(old.num_edges(), 3);
-        assert_eq!(
-            old.activation_probability(VertexId(1), VertexId(0))
-                .unwrap(),
-            0.7
-        );
-    }
-
-    #[test]
-    fn v1_snapshot_migrates_to_v2_on_rewrite() {
-        let old = from_json(V1_SNAPSHOT).unwrap();
-        let rewritten = to_json(&old).unwrap();
-        assert!(rewritten.contains("\"format_version\":2"));
-        assert!(!rewritten.contains("\"adjacency\""));
-        let back = from_json(&rewritten).unwrap();
-        assert_eq!(back.num_edges(), old.num_edges());
-        assert_eq!(
-            back.activation_probability(VertexId(1), VertexId(0))
-                .unwrap(),
-            0.7
-        );
-    }
-
-    #[test]
     fn file_roundtrip() {
         let g = parse_edge_list(SAMPLE).unwrap();
         let dir = std::env::temp_dir();
@@ -377,19 +279,14 @@ e 0 2 0.9
         write_edge_list_file(&g, &path).unwrap();
         let back = read_edge_list_file(&path).unwrap();
         assert_eq!(back.num_edges(), 3);
-        let json_path = dir.join("topl_icde_io_test.json");
-        write_json_file(&g, &json_path).unwrap();
-        let back = read_json_file(&json_path).unwrap();
-        assert_eq!(back.num_vertices(), 3);
         let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(json_path);
     }
 
     #[test]
     fn atomic_write_replaces_content_and_leaves_no_temp_files() {
         let dir = std::env::temp_dir().join(format!("icde_atomic_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("graph.json");
+        let path = dir.join("graph.txt");
         atomic_write(&path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
         // overwrite must swap the whole content in one rename

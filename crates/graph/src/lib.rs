@@ -27,10 +27,10 @@
 //! * [`generators`] — synthetic workload generators (Newman–Watts–Strogatz
 //!   small-world, DBLP-like, Amazon-like, keyword distributions, edge
 //!   weights),
-//! * [`io`] — edge-list / JSON snapshot readers and writers,
+//! * [`io`] — attributed edge-list reader and writer,
 //! * [`snapshot`] — sectioned, checksummed **binary snapshots** of the
 //!   frozen store that load zero-copy via `mmap(2)` (with a buffered
-//!   fallback path), so production starts skip the JSON re-parse entirely.
+//!   fallback path), so production starts skip the text re-parse entirely.
 //!
 //! The representation is bespoke (rather than reusing a generic graph crate)
 //! so that keyword bit vectors, edge supports and per-radius aggregates can

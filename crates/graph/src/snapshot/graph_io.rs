@@ -355,29 +355,30 @@ mod tests {
         let vertex = (0..g.num_vertices())
             .find(|v| parts.offsets[v + 1] - parts.offsets[*v] >= 2)
             .expect("a vertex with degree ≥ 2 exists");
-        let write_with_csr = |csr: &[(VertexId, EdgeId)], name: &str| {
-            let mut w = SnapshotWriter::new(KIND_GRAPH);
-            w.add_u64s(SEC_META, &[g.num_vertices() as u64, g.num_edges() as u64]);
-            w.add_u32s(SEC_OFFSETS, parts.offsets);
-            w.add_u32s(SEC_CSR, &pairs_to_u32s(csr));
-            w.add_f64s(SEC_OUT_WEIGHTS, parts.csr_out_weights);
-            w.add_u32s(SEC_EDGES, &pairs_to_u32s(parts.edges));
-            w.add_f64s(SEC_WEIGHT_FWD, parts.weight_forward);
-            w.add_f64s(SEC_WEIGHT_BWD, parts.weight_backward);
-            let mut kw_offsets = vec![0u32; g.num_vertices() + 1];
-            for (i, o) in kw_offsets.iter_mut().enumerate().skip(1) {
-                *o = kw_offsets_sum(&g, i);
-            }
-            let kw_pool: Vec<u32> = g
-                .vertices()
-                .flat_map(|v| g.keyword_set(v).iter().map(|k| k.0).collect::<Vec<_>>())
-                .collect();
-            w.add_u32s(SEC_KW_OFFSETS, &kw_offsets);
-            w.add_u32s(SEC_KW_POOL, &kw_pool);
-            let path = temp(name);
-            w.write_to(&path).unwrap();
-            path
-        };
+        let write_with =
+            |csr: &[(VertexId, EdgeId)], edges: &[(VertexId, VertexId)], name: &str| {
+                let mut w = SnapshotWriter::new(KIND_GRAPH);
+                w.add_u64s(SEC_META, &[g.num_vertices() as u64, g.num_edges() as u64]);
+                w.add_u32s(SEC_OFFSETS, parts.offsets);
+                w.add_u32s(SEC_CSR, &pairs_to_u32s(csr));
+                w.add_f64s(SEC_OUT_WEIGHTS, parts.csr_out_weights);
+                w.add_u32s(SEC_EDGES, &pairs_to_u32s(edges));
+                w.add_f64s(SEC_WEIGHT_FWD, parts.weight_forward);
+                w.add_f64s(SEC_WEIGHT_BWD, parts.weight_backward);
+                let mut kw_offsets = vec![0u32; g.num_vertices() + 1];
+                for (i, o) in kw_offsets.iter_mut().enumerate().skip(1) {
+                    *o = kw_offsets_sum(&g, i);
+                }
+                let kw_pool: Vec<u32> = g
+                    .vertices()
+                    .flat_map(|v| g.keyword_set(v).iter().map(|k| k.0).collect::<Vec<_>>())
+                    .collect();
+                w.add_u32s(SEC_KW_OFFSETS, &kw_offsets);
+                w.add_u32s(SEC_KW_POOL, &kw_pool);
+                let path = temp(name);
+                w.write_to(&path).unwrap();
+                path
+            };
         fn kw_offsets_sum(g: &SocialNetwork, upto: usize) -> u32 {
             (0..upto)
                 .map(|v| g.keyword_set(VertexId(v as u32)).len() as u32)
@@ -388,7 +389,7 @@ mod tests {
         let mut unsorted = parts.csr.to_vec();
         let start = parts.offsets[vertex] as usize;
         unsorted.swap(start, start + 1);
-        let path = write_with_csr(&unsorted, "unsorted_row.snap");
+        let path = write_with(&unsorted, parts.edges, "unsorted_row.snap");
         assert!(matches!(
             read_graph_snapshot(&path),
             Err(SnapshotError::Malformed(_))
@@ -413,12 +414,33 @@ mod tests {
             })
             .expect("another edge exists");
         lying[start] = (n0, other_edge);
-        let path = write_with_csr(&lying, "lying_row.snap");
+        let path = write_with(&lying, parts.edges, "lying_row.snap");
         assert!(matches!(
             read_graph_snapshot(&path),
             Err(SnapshotError::Malformed(_))
         ));
         let _ = std::fs::remove_file(path);
+
+        // an edge-table entry with an out-of-range endpoint, or with its
+        // endpoints swapped (a duplicate of the canonical orientation), is
+        // caught by the edge-table check before any CSR row is walked
+        let (lo, hi) = parts.edges[0];
+        let out_of_range = (lo, VertexId(g.num_vertices() as u32));
+        for (bad, name) in [
+            (out_of_range, "edge_out_of_range.snap"),
+            ((hi, lo), "edge_swapped.snap"),
+        ] {
+            let mut edges = parts.edges.to_vec();
+            edges[0] = bad;
+            let path = write_with(parts.csr, &edges, name);
+            match read_graph_snapshot(&path) {
+                Err(SnapshotError::Malformed(msg)) => {
+                    assert!(msg.contains("edge table entry"), "{name}: {msg}")
+                }
+                other => panic!("{name}: expected a malformed edge table, got {other:?}"),
+            }
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Zero-copy binary snapshot persistence.
 //!
-//! JSON snapshots ([`crate::io`]) are human-readable and diff-friendly, but a
-//! million-vertex graph pays a full re-parse and CSR re-sort on every process
+//! Edge lists ([`crate::io`]) are human-readable, but a million-vertex graph
+//! read from one pays a full re-parse and CSR re-sort on every process
 //! start. This module defines a **sectioned, versioned, checksummed binary
 //! format** holding the frozen arrays exactly as they live in memory, so a
 //! loaded file needs no parsing at all: the big arrays are viewed in place

@@ -13,7 +13,6 @@
 //! [`SocialNetwork::set_edge_weights`]: crate::SocialNetwork::set_edge_weights
 
 use super::region::MappedRegion;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -249,21 +248,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for FlatVec<T> {
 impl<T: PartialEq> PartialEq for FlatVec<T> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
-    }
-}
-
-// JSON persistence sees a `FlatVec` exactly as the `Vec` it wraps: mapped
-// views serialise their elements, deserialisation always produces owned
-// storage (a JSON file has no region to point into).
-impl<T: Serialize> Serialize for FlatVec<T> {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for FlatVec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<T>::from_value(v).map(FlatVec::from_vec)
     }
 }
 

@@ -3,26 +3,23 @@
 //! Seed communities, r-hop subgraphs `hop(v, r)` and influenced communities
 //! are all *vertex-induced subgraphs* of the data graph. Materialising each
 //! of them as a standalone graph would copy adjacency lists constantly, so
-//! the workspace instead works with [`VertexSubset`]: an ordered vertex list
-//! plus an O(1) membership test, borrowed against the parent graph when edges
-//! need to be enumerated.
+//! the workspace instead works with [`VertexSubset`]: a sorted vertex list
+//! with a binary-search membership test, borrowed against the parent graph
+//! when edges need to be enumerated.
 
 use crate::graph::SocialNetwork;
 use crate::types::{EdgeId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// An induced-subgraph vertex set with O(1) membership testing.
-#[derive(Debug, Clone, Default)]
+/// An induced-subgraph vertex set: distinct vertices in ascending id order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VertexSubset {
-    /// Vertices in ascending id order.
+    /// Vertices in ascending id order, no duplicates.
     vertices: Vec<VertexId>,
-    /// Membership set (kept in sync with `vertices`).
-    members: HashSet<VertexId>,
 }
 
-/// Serialises as the sorted vertex array alone: deterministic output, no
-/// redundant membership set, and `members` can never desync on reload.
+/// Serialises as the sorted vertex array.
 impl Serialize for VertexSubset {
     fn to_value(&self) -> serde::Value {
         self.vertices.to_value()
@@ -51,34 +48,31 @@ impl VertexSubset {
         self.vertices.is_empty()
     }
 
-    /// O(1) membership test.
+    /// Membership test: a binary search over the sorted vertices.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
-        self.members.contains(&v)
+        self.vertices.binary_search(&v).is_ok()
     }
 
     /// Adds a vertex; returns `true` if it was newly inserted.
     pub fn insert(&mut self, v: VertexId) -> bool {
-        if self.members.insert(v) {
-            match self.vertices.binary_search(&v) {
-                Ok(_) => {}
-                Err(pos) => self.vertices.insert(pos, v),
+        match self.vertices.binary_search(&v) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.vertices.insert(pos, v);
+                true
             }
-            true
-        } else {
-            false
         }
     }
 
     /// Removes a vertex; returns `true` if it was present.
     pub fn remove(&mut self, v: VertexId) -> bool {
-        if self.members.remove(&v) {
-            if let Ok(pos) = self.vertices.binary_search(&v) {
+        match self.vertices.binary_search(&v) {
+            Ok(pos) => {
                 self.vertices.remove(pos);
+                true
             }
-            true
-        } else {
-            false
+            Err(_) => false,
         }
     }
 
@@ -186,20 +180,12 @@ impl VertexSubset {
 /// Collects vertices into a subset (duplicates ignored, order normalised).
 impl FromIterator<VertexId> for VertexSubset {
     fn from_iter<T: IntoIterator<Item = VertexId>>(iter: T) -> Self {
-        let members: HashSet<VertexId> = iter.into_iter().collect();
-        let mut vertices: Vec<VertexId> = members.iter().copied().collect();
+        let mut vertices: Vec<VertexId> = iter.into_iter().collect();
         vertices.sort_unstable();
-        VertexSubset { vertices, members }
+        vertices.dedup();
+        VertexSubset { vertices }
     }
 }
-
-impl PartialEq for VertexSubset {
-    fn eq(&self, other: &Self) -> bool {
-        self.vertices == other.vertices
-    }
-}
-
-impl Eq for VertexSubset {}
 
 #[cfg(test)]
 mod tests {

@@ -53,20 +53,6 @@ impl From<VertexId> for u32 {
     }
 }
 
-/// Lets `VertexId` key JSON maps (serialised through its numeric id, the
-/// same convention serde_json uses for integer-keyed maps).
-impl serde::MapKey for VertexId {
-    fn to_key(&self) -> String {
-        self.0.to_string()
-    }
-
-    fn from_key(key: &str) -> Result<Self, serde::DeError> {
-        key.parse::<u32>()
-            .map(VertexId)
-            .map_err(|_| serde::DeError(format!("invalid VertexId map key: {key:?}")))
-    }
-}
-
 /// Dense identifier of an undirected edge in a [`crate::SocialNetwork`].
 ///
 /// The id is the position of the edge in the canonical edge table (edges are

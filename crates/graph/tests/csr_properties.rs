@@ -111,19 +111,4 @@ proptest! {
         }
         prop_assert_eq!(2 * g.num_edges(), expected.iter().sum::<usize>());
     }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_everything((_, _, g) in random_frozen(30)) {
-        let json = serde_json::to_string(&g).unwrap();
-        let back: SocialNetwork = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back.num_vertices(), g.num_vertices());
-        prop_assert_eq!(back.num_edges(), g.num_edges());
-        for v in g.vertices() {
-            prop_assert_eq!(back.neighbors(v).to_vec(), g.neighbors(v).to_vec());
-            prop_assert_eq!(back.keyword_set(v), g.keyword_set(v));
-        }
-        for (e, u, _) in g.edges() {
-            prop_assert_eq!(back.directed_weight(e, u), g.directed_weight(e, u));
-        }
-    }
 }

@@ -1,14 +1,37 @@
-//! Integration tests for graph persistence (queries survive a round-trip
-//! through the on-disk formats) and for the case-study baseline (Figure 5).
+//! Integration tests for persistence (queries survive a round-trip through
+//! the edge list and the binary snapshots) and for the case-study baseline
+//! (Figure 5).
 
+use std::path::PathBuf;
 use topl_icde::core::baseline::kcore::kcore_community;
+use topl_icde::core::snapshot::{read_index_snapshot, write_index_snapshot};
 use topl_icde::graph::io;
+use topl_icde::graph::snapshot::{read_graph_snapshot, write_graph_snapshot};
 use topl_icde::prelude::*;
 
 fn graph() -> SocialNetwork {
     DatasetSpec::new(DatasetKind::AmazonLike, 300, 9)
         .with_keyword_domain(10)
         .generate()
+}
+
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("topl_persistence_{}_{name}", std::process::id()))
+}
+
+/// Builds an index over each graph, runs `query` on both and asserts the
+/// answers agree bit for bit: centres, vertex sets and score bits.
+fn assert_same_answers(original: &SocialNetwork, reloaded: &SocialNetwork, query: &TopLQuery) {
+    let index_a = IndexBuilder::new(PrecomputeConfig::default()).build(original);
+    let index_b = IndexBuilder::new(PrecomputeConfig::default()).build(reloaded);
+    let a = TopLProcessor::new(original, &index_a).run(query).unwrap();
+    let b = TopLProcessor::new(reloaded, &index_b).run(query).unwrap();
+    assert_eq!(a.communities.len(), b.communities.len());
+    for (x, y) in a.communities.iter().zip(b.communities.iter()) {
+        assert_eq!(x.center, y.center);
+        assert_eq!(x.vertices, y.vertices);
+        assert_eq!(x.influential_score.to_bits(), y.influential_score.to_bits());
+    }
 }
 
 #[test]
@@ -18,32 +41,38 @@ fn query_results_survive_edge_list_roundtrip() {
     let reloaded = io::parse_edge_list(&text).expect("round-trip parses");
     assert_eq!(reloaded.num_vertices(), original.num_vertices());
     assert_eq!(reloaded.num_edges(), original.num_edges());
+    // the text format is exact: every directed weight keeps its bits
+    for (e, u, v) in original.edges() {
+        let back = reloaded.edge_between(u, v).expect("edge survives");
+        for from in [u, v] {
+            assert_eq!(
+                reloaded.directed_weight(back, from).to_bits(),
+                original.directed_weight(e, from).to_bits(),
+                "weight of {e:?} out of {from:?}"
+            );
+        }
+    }
+    for v in original.vertices() {
+        assert_eq!(reloaded.keyword_set(v), original.keyword_set(v));
+    }
 
     let query = TopLQuery::new(KeywordSet::from_ids([0, 1, 2]), 3, 2, 0.2, 3);
-    let index_a = IndexBuilder::new(PrecomputeConfig::default()).build(&original);
-    let index_b = IndexBuilder::new(PrecomputeConfig::default()).build(&reloaded);
-    let a = TopLProcessor::new(&original, &index_a).run(&query).unwrap();
-    let b = TopLProcessor::new(&reloaded, &index_b).run(&query).unwrap();
-    assert_eq!(a.communities.len(), b.communities.len());
-    for (x, y) in a.communities.iter().zip(b.communities.iter()) {
-        assert!((x.influential_score - y.influential_score).abs() < 1e-9);
-        assert_eq!(x.vertices, y.vertices);
-    }
+    assert_same_answers(&original, &reloaded, &query);
 }
 
 #[test]
-fn query_results_survive_json_roundtrip() {
+fn query_results_survive_graph_snapshot_roundtrip() {
     let original = graph();
-    let json = io::to_json(&original).unwrap();
-    let reloaded = io::from_json(&json).unwrap();
+    let path = temp_path("graph.snap");
+    write_graph_snapshot(&original, &path).expect("graph snapshot writes");
+    let reloaded = read_graph_snapshot(&path).expect("graph snapshot reads");
+    assert_eq!(
+        reloaded.content_fingerprint(),
+        original.content_fingerprint()
+    );
     let query = TopLQuery::new(KeywordSet::from_ids([0, 1, 2]), 3, 2, 0.2, 2);
-    let index_a = IndexBuilder::new(PrecomputeConfig::default()).build(&original);
-    let index_b = IndexBuilder::new(PrecomputeConfig::default()).build(&reloaded);
-    let a = TopLProcessor::new(&original, &index_a).run(&query).unwrap();
-    let b = TopLProcessor::new(&reloaded, &index_b).run(&query).unwrap();
-    for (x, y) in a.communities.iter().zip(b.communities.iter()) {
-        assert!((x.influential_score - y.influential_score).abs() < 1e-9);
-    }
+    assert_same_answers(&original, &reloaded, &query);
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]
@@ -101,10 +130,9 @@ fn index_is_reusable_across_many_queries() {
 
 #[test]
 fn index_persist_roundtrip_across_dataset_kinds() {
-    // The persisted index must reproduce the in-memory index exactly — same
-    // serialised form, same query answers — for every synthetic family.
-    use topl_icde::core::persist;
-
+    // The persisted index must reproduce the in-memory index exactly — the
+    // same snapshot bytes when written again, the same query answers — for
+    // every synthetic family.
     for kind in [
         DatasetKind::Uniform,
         DatasetKind::DblpLike,
@@ -115,12 +143,16 @@ fn index_persist_roundtrip_across_dataset_kinds() {
             .generate();
         let index = IndexBuilder::new(PrecomputeConfig::default()).build(&g);
 
-        let json = persist::index_to_json(&index).expect("index serialises");
-        let reloaded = persist::index_from_json(&json).expect("index deserialises");
-
-        // Structural equality via the canonical serialised form.
-        let rejson = persist::index_to_json(&reloaded).expect("reloaded index serialises");
-        assert_eq!(json, rejson, "lossy index round-trip for {kind:?}");
+        let first = temp_path(&format!("{kind:?}_index.snap"));
+        let second = temp_path(&format!("{kind:?}_index_again.snap"));
+        write_index_snapshot(&index, &first).expect("index snapshot writes");
+        let reloaded = read_index_snapshot(&first).expect("index snapshot reads");
+        write_index_snapshot(&reloaded, &second).expect("reloaded index writes");
+        assert_eq!(
+            std::fs::read(&first).unwrap(),
+            std::fs::read(&second).unwrap(),
+            "lossy index round-trip for {kind:?}"
+        );
         assert_eq!(index.node_count(), reloaded.node_count());
         assert_eq!(index.num_graph_vertices(), reloaded.num_graph_vertices());
 
@@ -136,8 +168,10 @@ fn index_persist_roundtrip_across_dataset_kinds() {
         for (x, y) in a.communities.iter().zip(b.communities.iter()) {
             assert_eq!(x.center, y.center);
             assert_eq!(x.vertices, y.vertices);
-            assert!((x.influential_score - y.influential_score).abs() < 1e-12);
+            assert_eq!(x.influential_score.to_bits(), y.influential_score.to_bits());
         }
+        let _ = std::fs::remove_file(first);
+        let _ = std::fs::remove_file(second);
     }
 }
 
