@@ -17,7 +17,7 @@
 //! implementation ran for hours at 250K vertices and the point of the
 //! reproduction is the relative shape, not the absolute seconds.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Default number of vertices used by the experiment harness (the paper's
 /// default is 250K; see the module docs for why this is smaller by default).
@@ -44,7 +44,7 @@ pub const GRAPH_SIZE_VALUES: [usize; 7] =
 pub const MULTIPLIER_VALUES: [usize; 5] = [2, 3, 5, 8, 10];
 
 /// One concrete parameter assignment (a row of the experiment grid).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentParams {
     /// Influence threshold θ.
     pub theta: f64,

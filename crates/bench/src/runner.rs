@@ -11,11 +11,11 @@ use icde_core::baseline::bruteforce::brute_force_topl;
 use icde_core::dtopl::{DTopLProcessor, DTopLStrategy};
 use icde_core::stats::PruningStats;
 use icde_core::topl::{PruningToggles, TopLProcessor};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// The outcome of running one method once.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Measurement {
     /// Method label (e.g. "TopL-ICDE", "ATindex", "Greedy_WP").
     pub method: String,

@@ -75,7 +75,6 @@ impl Workload {
             signature_bits: 128,
             parallel: true,
             num_threads: None,
-            num_shards: None,
         };
         let index = IndexBuilder::new(config).build(&graph);
         let offline_time = offline_start.elapsed();

@@ -11,7 +11,7 @@ usage:
                      [--keyword-domain N] [--keywords-per-vertex N] --out FILE
   topl-icde stats    --graph FILE
   topl-icde index    --graph FILE --out FILE [--rmax N] [--fanout N] [--thresholds a,b,c]
-                     [--threads N] [--shards N]
+                     [--threads N]
   topl-icde query    --graph FILE --index FILE --keywords a,b,c [--k N] [--r N]
                      [--theta X] [--l N] [--json] [--explain]
   topl-icde dquery   --graph FILE --index FILE --keywords a,b,c [--k N] [--r N]
@@ -31,10 +31,9 @@ its magic bytes); an index FILE is always a binary snapshot, which `index
 --out` and `update --out-index` write whatever the name. `update --out-graph`
 writes a snapshot for a `.snap` name and an edge list for any other. A flag
 the command does not take is a usage error. `index --threads N` pins the
-worker count of the offline pre-computation (default: all cores). `index
---shards N` partitions the offline build into N contiguous vertex-range
-shards so each worker carries only ball-cover-sized scratch (bit-identical
-output; default: one shard). `query --explain` prints the pruning-counter
+worker count of the offline pre-computation (default: all cores); each
+worker starts on its own contiguous vertex range, and every worker count
+writes the same index bytes. `query --explain` prints the pruning-counter
 breakdown after the answers. `serve`
 starts the concurrent serving runtime (worker pool + query LRU) and drives
 it with --queries synthetic Zipf-skewed keyword queries, reporting QPS,
@@ -91,12 +90,6 @@ pub enum Command {
         /// Worker-thread count for the offline pre-computation (`None` = all
         /// cores).
         threads: Option<usize>,
-        /// Contiguous vertex-range shard count for the offline build
-        /// ([`PrecomputeConfig::num_shards`]; `None` = one shard).
-        ///
-        /// [`PrecomputeConfig::num_shards`]:
-        /// icde_core::precompute::PrecomputeConfig::num_shards
-        shards: Option<usize>,
     },
     /// Run a TopL-ICDE query.
     Query {
@@ -457,7 +450,6 @@ fn parse_command(
                 Some(v) => parse_f64_list(v)?,
             },
             threads: parse_count(flags, "--threads")?,
-            shards: parse_count(flags, "--shards")?,
         }),
         "query" | "dquery" => {
             let keywords = parse_u32_list(flags.required("--keywords")?)?;
@@ -643,38 +635,17 @@ mod tests {
             "i",
             "--threads",
             "6",
-            "--shards",
-            "4",
         ]))
         .unwrap();
         match cmd {
-            Command::Index {
-                threads, shards, ..
-            } => {
-                assert_eq!(threads, Some(6));
-                assert_eq!(shards, Some(4));
-            }
+            Command::Index { threads, .. } => assert_eq!(threads, Some(6)),
             other => panic!("expected index, got {other:?}"),
         }
         let cmd = parse(&argv(&["index", "--graph", "g", "--out", "i"])).unwrap();
         match cmd {
-            Command::Index {
-                threads, shards, ..
-            } => {
-                assert_eq!(threads, None);
-                assert_eq!(shards, None);
-            }
+            Command::Index { threads, .. } => assert_eq!(threads, None),
             other => panic!("expected index, got {other:?}"),
         }
-        // zero or garbage shard counts are rejected
-        assert!(parse(&argv(&[
-            "index", "--graph", "g", "--out", "i", "--shards", "0"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "index", "--graph", "g", "--out", "i", "--shards", "many"
-        ]))
-        .is_err());
         // zero or garbage thread counts are rejected
         assert!(parse(&argv(&[
             "index",
@@ -994,8 +965,8 @@ mod tests {
                 "1",
                 "--eagr",
             ],
-            // a typo of --shards must not silently build one shard
-            &["index", "--graph", "g", "--out", "i", "--shard", "4"],
+            // the worker count alone partitions the offline build
+            &["index", "--graph", "g", "--out", "i", "--shards", "4"],
             // flags of a sibling command are not shared
             &[
                 "dquery",

@@ -64,26 +64,20 @@ pub fn run(command: Command) -> Result<(), String> {
             fanout,
             thresholds,
             threads,
-            shards,
         } => {
             let g = load_graph(&graph)?;
-            let config = PrecomputeConfig::new(r_max, thresholds)
-                .with_num_threads(threads)
-                .with_num_shards(shards);
+            let config = PrecomputeConfig::new(r_max, thresholds).with_num_threads(threads);
             let workers = config.worker_count(g.num_vertices());
-            let shard_count = config.shard_count(g.num_vertices());
             let start = std::time::Instant::now();
             let index = IndexBuilder::new(config).with_fanout(fanout).build(&g);
             let offline = start.elapsed();
             write_index_snapshot(&index, &out).map_err(|e| e.to_string())?;
             let rate = g.num_vertices() as f64 / offline.as_secs_f64().max(f64::MIN_POSITIVE);
             println!(
-                "offline build: {:.2?} on {} worker thread{}, {} shard{} ({:.0} vertices/sec)",
+                "offline build: {:.2?} on {} worker thread{} ({:.0} vertices/sec)",
                 offline,
                 workers,
                 if workers == 1 { "" } else { "s" },
-                shard_count,
-                if shard_count == 1 { "" } else { "s" },
                 rate
             );
             println!(
@@ -1082,7 +1076,6 @@ mod tests {
                 fanout: 8,
                 thresholds: vec![0.1, 0.2, 0.3],
                 threads: Some(2),
-                shards: Some(2),
             })
             .unwrap();
         }
@@ -1151,7 +1144,6 @@ mod tests {
             fanout: 8,
             thresholds: vec![0.1, 0.2, 0.3],
             threads: None,
-            shards: None,
         })
         .unwrap();
 
@@ -1219,7 +1211,6 @@ mod tests {
             fanout: 8,
             thresholds: vec![0.1, 0.2, 0.3],
             threads: Some(1),
-            shards: None,
         })
         .unwrap();
         run(Command::Serve {
@@ -1284,7 +1275,6 @@ mod tests {
             fanout: 8,
             thresholds: vec![0.1, 0.2, 0.3],
             threads: Some(1),
-            shards: None,
         })
         .unwrap();
 

@@ -268,21 +268,6 @@ impl AggregateTable {
     /// # Panics
     /// Panics if `entities_per_chunk` is zero.
     pub fn chunks_mut(&mut self, entities_per_chunk: usize) -> Vec<TableChunkMut<'_>> {
-        self.chunks_mut_with_base(entities_per_chunk, 0)
-    }
-
-    /// [`chunks_mut`](AggregateTable::chunks_mut) for a table that holds a
-    /// shard's slice of a larger entity space: chunk `first_entity` ids are
-    /// offset by `base_entity` (the shard's first global entity), so workers
-    /// writing through a per-shard table still see global ids.
-    ///
-    /// # Panics
-    /// Panics if `entities_per_chunk` is zero.
-    pub fn chunks_mut_with_base(
-        &mut self,
-        entities_per_chunk: usize,
-        base_entity: usize,
-    ) -> Vec<TableChunkMut<'_>> {
         assert!(
             entities_per_chunk > 0,
             "chunks must hold at least one entity"
@@ -300,7 +285,7 @@ impl AggregateTable {
             .enumerate()
             .map(
                 |(i, (((signatures, supports), scores), region_sizes))| TableChunkMut {
-                    first_entity: base_entity + i * entities_per_chunk,
+                    first_entity: i * entities_per_chunk,
                     r_max,
                     words,
                     num_thresholds: m,
@@ -311,45 +296,6 @@ impl AggregateTable {
                 },
             )
             .collect()
-    }
-
-    /// Concatenates per-shard tables (each covering a consecutive entity
-    /// range, in order) into one table over the union of their entities —
-    /// the freeze step of the sharded offline build. Column arrays are
-    /// copied verbatim, so the stitched table is bit-identical to one built
-    /// monolithically.
-    ///
-    /// Errors when no parts are given or the parts disagree on `r_max`,
-    /// signature width or threshold count.
-    pub fn stitch(parts: &[AggregateTable]) -> Result<AggregateTable, String> {
-        let first = parts.first().ok_or("cannot stitch zero shard tables")?;
-        let (r_max, bits, m) = (first.r_max, first.signature_bits, first.num_thresholds);
-        let entities: usize = parts.iter().map(|p| p.entities).sum();
-        let words = bits.div_ceil(64);
-        let rows = entities * r_max as usize;
-        let mut signatures = Vec::with_capacity(rows * words);
-        let mut supports = Vec::with_capacity(rows);
-        let mut scores = Vec::with_capacity(rows * m);
-        let mut region_sizes = Vec::with_capacity(rows);
-        for part in parts {
-            if part.r_max != r_max || part.signature_bits != bits || part.num_thresholds != m {
-                return Err("shard tables disagree on aggregate dimensions".to_string());
-            }
-            signatures.extend_from_slice(part.raw_signatures());
-            supports.extend_from_slice(part.raw_supports());
-            scores.extend_from_slice(part.raw_scores());
-            region_sizes.extend_from_slice(part.raw_region_sizes());
-        }
-        AggregateTable::from_raw(
-            entities,
-            r_max,
-            bits,
-            m,
-            signatures,
-            supports,
-            scores,
-            region_sizes,
-        )
     }
 
     /// Splits the table into disjoint mutable chunks covering the given
@@ -736,64 +682,6 @@ mod tests {
                     .all(|s| *s == f64::from(expected)));
             }
         }
-    }
-
-    #[test]
-    fn stitched_shard_tables_are_bit_identical_to_the_monolithic_build() {
-        let entities = 7usize;
-        let fill = |table: &mut AggregateTable, base: usize| {
-            for local in 0..table.entities() {
-                let entity = base + local;
-                for r in 1..=2u32 {
-                    table.set_row(
-                        local,
-                        r,
-                        &sample_aggregate(entity as u32 * 10 + r, &[f64::from(r), 0.5], 3),
-                    );
-                }
-            }
-        };
-        let mut whole = AggregateTable::new(entities, 2, 128, 2);
-        fill(&mut whole, 0);
-        // shards 3 + 3 + 1, each filled through shard-local entity ids
-        let mut parts = Vec::new();
-        for (base, len) in [(0usize, 3usize), (3, 3), (6, 1)] {
-            let mut part = AggregateTable::new(len, 2, 128, 2);
-            fill(&mut part, base);
-            parts.push(part);
-        }
-        let stitched = AggregateTable::stitch(&parts).unwrap();
-        assert_eq!(stitched, whole);
-        assert_eq!(
-            stitched.structural_fingerprint(),
-            whole.structural_fingerprint()
-        );
-        assert_eq!(stitched.max_score_delta(&whole), 0.0);
-    }
-
-    #[test]
-    fn stitch_rejects_mismatched_dimensions_and_empty_input() {
-        assert!(AggregateTable::stitch(&[]).is_err());
-        let a = AggregateTable::new(2, 2, 128, 2);
-        let b = AggregateTable::new(2, 3, 128, 2);
-        assert!(AggregateTable::stitch(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn based_chunks_report_global_entity_ids() {
-        let mut shard = AggregateTable::new(5, 2, 64, 1);
-        let chunks = shard.chunks_mut_with_base(2, 100);
-        assert_eq!(
-            chunks
-                .iter()
-                .map(TableChunkMut::first_entity)
-                .collect::<Vec<_>>(),
-            vec![100, 102, 104]
-        );
-        assert_eq!(
-            chunks.iter().map(TableChunkMut::len).collect::<Vec<_>>(),
-            vec![2, 2, 1]
-        );
     }
 
     #[test]

@@ -9,11 +9,11 @@
 use icde_graph::{SocialNetwork, VertexId};
 use icde_influence::{InfluenceConfig, InfluenceEvaluator};
 use icde_truss::kcore::maximal_kcore_containing;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The k-core community around a centre vertex together with its influence
 /// metrics (same fields the case study reports).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KCoreCommunity {
     /// The centre vertex the community was grown from.
     pub center: VertexId,

@@ -25,7 +25,7 @@ use crate::stats::PruningStats;
 use crate::topl::TopLProcessor;
 use icde_graph::SocialNetwork;
 use icde_influence::{DiversityState, InfluenceConfig, InfluenceEvaluator, InfluencedCommunity};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 /// Parameters of a DTopL-ICDE query: the base TopL-ICDE parameters plus the
 /// candidate multiplier `n` (the greedy refinement works over `n·L`
 /// candidates).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DTopLQuery {
     /// The underlying TopL-ICDE parameters (`Q`, `k`, `r`, `θ`, `L`).
     pub base: TopLQuery,
@@ -60,7 +60,7 @@ impl DTopLQuery {
 }
 
 /// Candidate-refinement strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DTopLStrategy {
     /// Algorithm 4: lazy greedy with diversity-score pruning (Lemma 9).
     GreedyWithPruning,
@@ -73,7 +73,7 @@ pub enum DTopLStrategy {
 }
 
 /// Result of one DTopL-ICDE query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DTopLAnswer {
     /// The selected set `S` of (up to) `L` seed communities, in selection
     /// order for the greedy strategies.

@@ -50,7 +50,7 @@ pub use aggregate::{AggregateRef, AggregateTable};
 pub use dtopl::{DTopLAnswer, DTopLProcessor, DTopLQuery, DTopLStrategy};
 pub use error::CoreError;
 pub use index::{CommunityIndex, IndexBuilder, IndexPlacement, NodeRef};
-pub use precompute::{EngineStats, MaintenanceArena, PrecomputeConfig, PrecomputedData, ShardPlan};
+pub use precompute::{EngineStats, MaintenanceArena, PrecomputeConfig, PrecomputedData};
 pub use query::TopLQuery;
 pub use seed::SeedCommunity;
 pub use serving::{

@@ -29,25 +29,30 @@
 //! 3. **Frontier-incremental radius aggregation** — the bounded BFS yields
 //!    vertices in nondecreasing distance order, so radius `r`'s region is a
 //!    prefix of the order buffer and only the *frontier* (distance exactly
-//!    `r`) is new. Signatures are OR-folded from the per-graph flat
-//!    [`SignatureTable`] for frontier vertices only; the support bound scans
-//!    only edges incident to the frontier whose other endpoint is already in
-//!    the region (an O(1) check against the epoch-stamped BFS distance
-//!    array). Everything except the influence expansion is O(frontier), not
+//!    `r`) is new. Signatures are OR-folded for frontier vertices only, from
+//!    the worker's own sparse [`SignatureScratch`] (a row is hashed on first
+//!    touch and replayed afterwards); the support bound scans only edges
+//!    incident to the frontier whose other endpoint is already in the region
+//!    (an O(1) check against the epoch-stamped BFS distance array).
+//!    Everything except the influence expansion is O(frontier), not
 //!    O(region).
-//! 4. **Work-stealing scheduler with in-place scatter** — workers claim
-//!    fixed-size entity chunks off an atomic counter (hub-heavy chunks no
-//!    longer straggle behind a static partition) and write finished rows
-//!    directly into disjoint [`AggregateTable`] chunks
-//!    ([`AggregateTable::chunks_mut`]); no per-worker result buffers, no
-//!    sequential scatter pass. [`PrecomputeConfig::num_threads`] pins the
-//!    worker count.
+//! 4. **Work-stealing scheduler with in-place scatter** — the table is cut
+//!    into fixed-size entity chunks ([`AggregateTable::chunks_mut`]) and the
+//!    chunks into one contiguous home range per worker. Worker *w* drains
+//!    range *w* first and then steals from the others, so a hub-heavy
+//!    stretch never straggles behind a static partition while a worker's
+//!    traversal pages and signature rows stay on one id range. Workers write
+//!    finished rows straight into their claimed chunks; there are no
+//!    per-worker result buffers and no sequential scatter pass.
+//!    [`PrecomputeConfig::num_threads`] pins the worker count; every worker
+//!    count writes the same bytes.
 //!
 //! Each worker owns two [`TraversalWorkspace`]s — one keeps the BFS distance
 //! stamps valid across all radii while the other churns through the
-//! influence expansions — plus the reused BFS-order and signature
-//! accumulator buffers, so the steady-state hot path performs no heap
-//! allocation at all.
+//! influence expansions — plus the reused BFS-order buffer, signature
+//! accumulator and signature row cache, so the steady-state hot path
+//! performs no heap allocation at all, and its resident scratch tracks the
+//! ball cover of its range instead of `n`.
 //!
 //! # Seed-community score bounds
 //!
@@ -74,12 +79,10 @@ use icde_graph::snapshot::{FlatVec, SectionShadow};
 use icde_graph::traversal::bfs_within_into;
 use icde_graph::workspace::TraversalWorkspace;
 use icde_graph::{
-    BitVector, EdgeId, EdgeIdRemap, SignatureScratch, SignatureTable, SocialNetwork, VertexId,
-    VertexSubset,
+    BitVector, EdgeId, EdgeIdRemap, SignatureScratch, SocialNetwork, VertexId, VertexSubset,
 };
 use icde_influence::{InfluenceConfig, InfluenceEvaluator};
 use icde_truss::support::edge_supports_global;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -119,17 +122,6 @@ pub struct PrecomputeConfig {
     /// loads yield `None`), so artifacts stay independent of the machine
     /// that built them.
     pub num_threads: Option<usize>,
-    /// Number of contiguous vertex-id shards the offline build partitions
-    /// the aggregate table into. `None` (and `Some(1)`) is the unsharded
-    /// build: one table, one shared full-graph signature table. `Some(k)`
-    /// with `k > 1` gives every shard its own table slice and every worker a
-    /// sparse shard-local signature/workspace arena sized to the balls it
-    /// actually touches, bounding per-worker memory by the shard's r_max
-    /// ball cover instead of `n`. Output is bit-identical either way.
-    ///
-    /// A runtime knob like `num_threads`: the index snapshot does not store
-    /// it, all loads yield `None`.
-    pub num_shards: Option<usize>,
 }
 
 impl Default for PrecomputeConfig {
@@ -142,7 +134,6 @@ impl Default for PrecomputeConfig {
             signature_bits: 128,
             parallel: true,
             num_threads: None,
-            num_shards: None,
         }
     }
 }
@@ -187,22 +178,6 @@ impl PrecomputeConfig {
         self
     }
 
-    /// Pins the shard count of the offline build (see
-    /// [`PrecomputeConfig::num_shards`]).
-    pub fn with_num_shards(mut self, num_shards: Option<usize>) -> Self {
-        self.num_shards = num_shards;
-        self
-    }
-
-    /// The number of shards the offline build will actually use for an
-    /// `n`-vertex graph: the pinned count clamped to `[1, n]`.
-    pub fn shard_count(&self, n: usize) -> usize {
-        match self.num_shards {
-            Some(s) => s.clamp(1, n.max(1)),
-            None => 1,
-        }
-    }
-
     /// The number of workers the offline build will actually use for an
     /// `n`-vertex graph.
     pub fn worker_count(&self, n: usize) -> usize {
@@ -230,86 +205,19 @@ impl PrecomputeConfig {
     }
 }
 
-/// A partition of the vertex-id space into contiguous shards. Shard `s`
-/// owns the half-open id range [`ShardPlan::range`]`(s)`; the sharded
-/// offline build gives each shard its own [`AggregateTable`] slice and
-/// routes work-stealing chunk claims to a shard's home workers first, so a
-/// worker's traversal scratch stays resident on one id range instead of
-/// paging the whole graph in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardPlan {
-    /// `num_shards + 1` cumulative boundaries: shard `s` is
-    /// `boundaries[s]..boundaries[s + 1]`.
-    boundaries: Vec<usize>,
-}
-
-impl ShardPlan {
-    /// An even contiguous split of `n` vertices into `shards` ranges (the
-    /// first `n % shards` ranges hold one extra vertex). `shards` is clamped
-    /// to `[1, n]` (an empty graph yields one empty shard).
-    pub fn contiguous(n: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, n.max(1));
-        let base = n / shards;
-        let extra = n % shards;
-        let mut boundaries = Vec::with_capacity(shards + 1);
-        let mut at = 0;
-        boundaries.push(at);
-        for s in 0..shards {
-            at += base + usize::from(s < extra);
-            boundaries.push(at);
-        }
-        ShardPlan { boundaries }
-    }
-
-    /// A plan from explicit interior boundaries over `n` vertices (the
-    /// equivalence property tests place boundaries arbitrarily). Interior
-    /// boundaries must be strictly increasing within `(0, n)`; duplicates or
-    /// out-of-range values error.
-    pub fn from_interior_boundaries(n: usize, interior: &[usize]) -> Result<Self, String> {
-        let mut boundaries = Vec::with_capacity(interior.len() + 2);
-        boundaries.push(0);
-        for &b in interior {
-            if b == 0 || b >= n {
-                return Err(format!("shard boundary {b} outside (0, {n})"));
-            }
-            if *boundaries.last().expect("non-empty") >= b {
-                return Err("shard boundaries must be strictly increasing".to_string());
-            }
-            boundaries.push(b);
-        }
-        boundaries.push(n);
-        Ok(ShardPlan { boundaries })
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.boundaries.len() - 1
-    }
-
-    /// The vertex-id range shard `s` owns.
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn range(&self, s: usize) -> Range<usize> {
-        self.boundaries[s]..self.boundaries[s + 1]
-    }
-}
-
 /// Telemetry of one offline build: where the wall time went and how many
 /// bytes of traversal/signature scratch each worker actually kept resident,
-/// against the dense projection a pre-sharding build would have pinned.
-/// `sharded_equivalence.rs` asserts `measured_scratch_bytes() × 4 ≤
-/// naive_scratch_bytes` on a 20k-vertex locality graph; nothing here
-/// affects the computed data.
+/// against the dense projection of two n-vertex workspaces per worker plus a
+/// full-graph signature table. `precompute_equivalence.rs` asserts
+/// `measured_scratch_bytes() × 4 ≤ naive_scratch_bytes` on a 20k-vertex
+/// locality graph; nothing here affects the computed data.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Worker threads the build ran with.
     pub workers: usize,
-    /// Shards the aggregate table was partitioned into (1 = unsharded).
-    pub shards: usize,
     /// Wall time of the global edge-support pass.
     pub support_phase_secs: f64,
-    /// Wall time of the aggregate-table pass (incl. shard stitch).
+    /// Wall time of the aggregate-table pass.
     pub table_phase_secs: f64,
     /// Wall time of the seed-bound pass.
     pub seed_phase_secs: f64,
@@ -318,25 +226,21 @@ pub struct EngineStats {
     pub table_worker_scratch_bytes: Vec<usize>,
     /// Resident scratch bytes per seed-pass worker at the end of the pass.
     pub seed_worker_scratch_bytes: Vec<usize>,
-    /// Bytes of build-shared signature state (the full-graph
-    /// [`SignatureTable`] of the unsharded path; 0 when sharded).
-    pub shared_signature_bytes: usize,
-    /// Table-pass chunks each worker processed outside its home shard (work
-    /// stealing across shard boundaries; empty when unsharded).
+    /// Table-pass chunks each worker stole from outside its home range.
     pub stolen_chunks: Vec<usize>,
-    /// What the pre-sharding engine would keep resident for this graph and
-    /// worker count: two dense n-vertex traversal workspaces per worker plus
-    /// one full-graph signature table.
+    /// What a dense engine would keep resident for this graph and worker
+    /// count: two n-vertex traversal workspaces per worker plus one
+    /// full-graph signature table.
     pub naive_scratch_bytes: usize,
 }
 
 impl EngineStats {
-    /// Total measured resident scratch: every worker of the heavier pass
-    /// plus the shared signature state.
+    /// Total measured resident scratch: the sum over the workers of the
+    /// heavier pass.
     pub fn measured_scratch_bytes(&self) -> usize {
         let table: usize = self.table_worker_scratch_bytes.iter().sum();
         let seed: usize = self.seed_worker_scratch_bytes.iter().sum();
-        table.max(seed) + self.shared_signature_bytes
+        table.max(seed)
     }
 }
 
@@ -431,9 +335,7 @@ pub struct PrecomputedData {
 impl PrecomputedData {
     /// Runs the offline pre-computation (Algorithm 2) over `g` through the
     /// frontier-incremental, multi-threshold, work-stealing engine (see the
-    /// module docs). [`PrecomputeConfig::num_shards`] selects between the
-    /// monolithic build and the sharded one; the output is bit-identical
-    /// either way.
+    /// module docs).
     pub fn compute(g: &SocialNetwork, config: PrecomputeConfig) -> Self {
         Self::compute_with_stats(g, config).0
     }
@@ -442,25 +344,11 @@ impl PrecomputedData {
     /// wall times and the resident scratch bytes each worker actually held
     /// (see [`EngineStats`]).
     pub fn compute_with_stats(g: &SocialNetwork, config: PrecomputeConfig) -> (Self, EngineStats) {
-        let plan = ShardPlan::contiguous(g.num_vertices(), config.shard_count(g.num_vertices()));
-        Self::compute_with_plan(g, config, &plan)
-    }
-
-    /// [`compute_with_stats`](PrecomputedData::compute_with_stats) under an
-    /// explicit [`ShardPlan`] (the equivalence property tests exercise
-    /// arbitrary boundary placements; [`compute`](PrecomputedData::compute)
-    /// derives an even plan from [`PrecomputeConfig::num_shards`]).
-    pub fn compute_with_plan(
-        g: &SocialNetwork,
-        config: PrecomputeConfig,
-        plan: &ShardPlan,
-    ) -> (Self, EngineStats) {
         let n = g.num_vertices();
         let workers = config.worker_count(n);
         let words = config.signature_bits.div_ceil(64);
         let mut stats = EngineStats {
             workers,
-            shards: plan.num_shards(),
             naive_scratch_bytes: workers * 2 * TraversalWorkspace::dense_lane_bytes(n)
                 + n * words * std::mem::size_of::<u64>(),
             ..EngineStats::default()
@@ -471,15 +359,30 @@ impl PrecomputedData {
         stats.support_phase_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let table = if plan.num_shards() <= 1 {
-            Self::compute_table_monolithic(g, &config, &edge_supports, workers, &mut stats)
-        } else {
-            Self::compute_table_sharded(g, &config, &edge_supports, workers, plan, &mut stats)
+        let mut table = AggregateTable::new(
+            n,
+            config.r_max,
+            config.signature_bits,
+            config.thresholds.len(),
+        );
+        let ctx = EngineCtx {
+            g,
+            config: &config,
+            edge_supports: &edge_supports,
         };
+        let chunks = table.chunks_mut(chunk_entities(n, workers));
+        let per_worker = run_claimed(chunks, workers, |scratch, mut chunk| {
+            let first = chunk.first_entity();
+            for local in 0..chunk.len() {
+                let v = VertexId::from_index(first + local);
+                precompute_vertex_into(&ctx, v, scratch, &mut chunk, local);
+            }
+        });
+        (stats.table_worker_scratch_bytes, stats.stolen_chunks) = per_worker.into_iter().unzip();
         stats.table_phase_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let seed_bounds = compute_seed_bounds(g, &config, workers, plan, &mut stats);
+        let seed_bounds = compute_seed_bounds(g, &config, workers, &mut stats);
         stats.seed_phase_secs = t.elapsed().as_secs_f64();
 
         (
@@ -491,177 +394,6 @@ impl PrecomputedData {
             },
             stats,
         )
-    }
-
-    /// The unsharded table pass: one table, one shared full-graph signature
-    /// table (the right trade when every worker will visit most of the
-    /// graph anyway).
-    fn compute_table_monolithic(
-        g: &SocialNetwork,
-        config: &PrecomputeConfig,
-        edge_supports: &[u32],
-        workers: usize,
-        stats: &mut EngineStats,
-    ) -> AggregateTable {
-        let n = g.num_vertices();
-        let mut table = AggregateTable::new(
-            n,
-            config.r_max,
-            config.signature_bits,
-            config.thresholds.len(),
-        );
-        let signatures = SignatureTable::for_graph(g, config.signature_bits);
-        stats.shared_signature_bytes =
-            n * config.signature_bits.div_ceil(64) * std::mem::size_of::<u64>();
-        let ctx = EngineCtx {
-            g,
-            config,
-            edge_supports,
-            signatures: SigSource::Table(&signatures),
-        };
-
-        if workers <= 1 || n == 0 {
-            let mut scratch = WorkerScratch::new(config);
-            for mut chunk in table.chunks_mut(n.max(1)) {
-                process_chunk(&ctx, &mut chunk, &mut scratch);
-            }
-            stats
-                .table_worker_scratch_bytes
-                .push(scratch.resident_bytes());
-        } else {
-            // Work stealing: chunks small enough that a hub-heavy stretch of
-            // vertices cannot straggle one worker, large enough that the
-            // atomic claim is free. Each claimed chunk carries its own
-            // disjoint mutable window into the table, so workers scatter
-            // finished rows in place.
-            let chunk_size = (n / (workers * 16)).clamp(8, 512);
-            let slots: Vec<Mutex<Option<TableChunkMut<'_>>>> = table
-                .chunks_mut(chunk_size)
-                .into_iter()
-                .map(|c| Mutex::new(Some(c)))
-                .collect();
-            let next = AtomicUsize::new(0);
-            let worker_bytes = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let ctx = &ctx;
-                    let slots = &slots;
-                    let next = &next;
-                    let worker_bytes = &worker_bytes;
-                    scope.spawn(move || {
-                        let mut scratch = WorkerScratch::new(ctx.config);
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = slots.get(i) else { break };
-                            let mut chunk = slot
-                                .lock()
-                                .expect("chunk slot lock")
-                                .take()
-                                .expect("each chunk is claimed exactly once");
-                            process_chunk(ctx, &mut chunk, &mut scratch);
-                        }
-                        worker_bytes
-                            .lock()
-                            .expect("worker byte lock")
-                            .push(scratch.resident_bytes());
-                    });
-                }
-            });
-            stats.table_worker_scratch_bytes = worker_bytes.into_inner().expect("worker byte lock");
-        }
-        table
-    }
-
-    /// The sharded table pass: each shard owns its slice of the aggregate
-    /// table and its chunks are claimed by the shard's home workers first
-    /// (chunks are cut per shard table, so they never cross a shard
-    /// boundary and the scatter stays a disjoint split borrow). Workers
-    /// read member signatures through their own sparse [`SignatureScratch`]
-    /// instead of a shared full-graph table, so a worker's resident bytes
-    /// track the ball cover of the ranges it processed, not `n`. Shard
-    /// tables are stitched into one at freeze — bit-identical to the
-    /// monolithic build because every vertex's computation is
-    /// self-contained.
-    fn compute_table_sharded(
-        g: &SocialNetwork,
-        config: &PrecomputeConfig,
-        edge_supports: &[u32],
-        workers: usize,
-        plan: &ShardPlan,
-        stats: &mut EngineStats,
-    ) -> AggregateTable {
-        let n = g.num_vertices();
-        let shards = plan.num_shards();
-        let mut shard_tables: Vec<AggregateTable> = (0..shards)
-            .map(|s| {
-                AggregateTable::new(
-                    plan.range(s).len(),
-                    config.r_max,
-                    config.signature_bits,
-                    config.thresholds.len(),
-                )
-            })
-            .collect();
-        let ctx = EngineCtx {
-            g,
-            config,
-            edge_supports,
-            signatures: SigSource::WorkerLocal {
-                bits: config.signature_bits,
-            },
-        };
-        let chunk_size = (n / (workers * 16)).clamp(8, 512);
-        let queues: Vec<(AtomicUsize, Vec<Mutex<Option<TableChunkMut<'_>>>>)> = shard_tables
-            .iter_mut()
-            .enumerate()
-            .map(|(s, table)| {
-                let slots = table
-                    .chunks_mut_with_base(chunk_size, plan.range(s).start)
-                    .into_iter()
-                    .map(|c| Mutex::new(Some(c)))
-                    .collect();
-                (AtomicUsize::new(0), slots)
-            })
-            .collect();
-        let worker_stats = Mutex::new((Vec::new(), Vec::new()));
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let ctx = &ctx;
-                let queues = &queues;
-                let worker_stats = &worker_stats;
-                scope.spawn(move || {
-                    let mut scratch = WorkerScratch::new(ctx.config);
-                    let home = w % queues.len();
-                    let mut stolen = 0usize;
-                    // drain the home shard first, then steal round-robin so
-                    // stragglers never leave chunks unclaimed
-                    for offset in 0..queues.len() {
-                        let (next, slots) = &queues[(home + offset) % queues.len()];
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = slots.get(i) else { break };
-                            let mut chunk = slot
-                                .lock()
-                                .expect("chunk slot lock")
-                                .take()
-                                .expect("each chunk is claimed exactly once");
-                            process_chunk(ctx, &mut chunk, &mut scratch);
-                            if offset != 0 {
-                                stolen += 1;
-                            }
-                        }
-                    }
-                    let mut guard = worker_stats.lock().expect("worker stats lock");
-                    guard.0.push(scratch.resident_bytes());
-                    guard.1.push(stolen);
-                });
-            }
-        });
-        drop(queues);
-        let (bytes, stolen) = worker_stats.into_inner().expect("worker stats lock");
-        stats.table_worker_scratch_bytes = bytes;
-        stats.stolen_chunks = stolen;
-        AggregateTable::stitch(&shard_tables).expect("shard tables share dimensions")
     }
 
     /// Reference (pre-overhaul) sequential build: one full influence
@@ -694,13 +426,7 @@ impl PrecomputedData {
         // with the progressive kernel, so there is no pre-overhaul reference
         // formulation to diverge from, and sharing it keeps the two builds
         // comparable field-for-field.
-        let seed_bounds = compute_seed_bounds(
-            g,
-            &config,
-            1,
-            &ShardPlan::contiguous(n, 1),
-            &mut EngineStats::default(),
-        );
+        let seed_bounds = compute_seed_bounds(g, &config, 1, &mut EngineStats::default());
         PrecomputedData {
             config,
             table,
@@ -814,91 +540,64 @@ impl PrecomputedData {
         self.table.entities()
     }
 
-    /// Recomputes the aggregates of a batch of vertices against the current
-    /// state of `g` (the incremental-maintenance refresh path), through the
-    /// thread-shared scratch. The signature row cache is dropped on every
-    /// call — this thread may serve different graphs between calls — so
-    /// callers that refresh the *same* graph batch after batch (the
-    /// streaming maintainer) should hold a [`MaintenanceArena`] and use
-    /// [`PrecomputedData::recompute_vertices_with`] instead, which keeps
-    /// rows warm across batches.
+    /// Recomputes the aggregates and seed bounds of `vertices` against the
+    /// current state of `g` (the incremental-maintenance refresh path),
+    /// through caller-owned [`MaintenanceArena`]s dedicated to `g`. An
+    /// arena's sparse signature rows and paged traversal lanes stay warm
+    /// across calls: keyword sets are immutable under edge updates and
+    /// compaction, so nothing is re-hashed, nothing is zeroed O(n), and
+    /// resident bytes track the update balls.
+    ///
+    /// With one arena the batch runs on the calling thread and may hold
+    /// vertices in any order. With more, the **sorted, deduplicated** batch
+    /// is split into one contiguous span per arena and each span runs on its
+    /// own scoped worker, scattering its rows into a disjoint
+    /// [`AggregateTable::ranges_mut`] chunk (plus the matching seed-bound
+    /// slice) — the offline engine's lock-free scatter discipline.
     ///
     /// `edge_supports` must already reflect the updated graph; patch them
     /// with [`PrecomputedData::patch_supports_after_insertion`] /
     /// [`PrecomputedData::patch_supports_after_removal`] first.
-    pub fn recompute_vertices(&mut self, g: &SocialNetwork, vertices: &[VertexId]) {
-        with_maintenance_scratch(|scratch| {
-            // the thread scratch may hold rows of a different same-shaped
-            // graph; a warm cache is only sound for a dedicated arena
-            scratch.sig.invalidate();
-            self.recompute_vertices_into(g, vertices, scratch);
-        });
-    }
-
-    /// [`recompute_vertices`](PrecomputedData::recompute_vertices) through a
-    /// caller-owned [`MaintenanceArena`]. The arena's sparse signature rows
-    /// and paged traversal lanes stay warm across calls: keyword sets are
-    /// immutable under edge updates and compaction, so nothing is
-    /// re-hashed, nothing is zeroed O(n), and resident bytes track the
-    /// update balls. The arena must be dedicated to `g` (see
-    /// [`MaintenanceArena`]).
-    pub fn recompute_vertices_with(
-        &mut self,
-        g: &SocialNetwork,
-        vertices: &[VertexId],
-        arena: &mut MaintenanceArena,
-    ) {
-        self.recompute_vertices_into(g, vertices, &mut arena.scratch);
-    }
-
-    /// [`recompute_vertices_with`](PrecomputedData::recompute_vertices_with)
-    /// fanned out over `std::thread::scope` workers, one per arena: the
-    /// **sorted, deduplicated** affected set is partitioned into contiguous
-    /// spans, each worker scatters its span's rows into a disjoint
-    /// [`AggregateTable::ranges_mut`] chunk (plus the matching seed-bound
-    /// slice), so the refresh is lock-free and the borrow checker proves the
-    /// writes disjoint — exactly the offline engine's scatter discipline.
-    /// Arenas stay warm across batches per worker. With zero or one arena
-    /// (or a batch smaller than the worker count) this degrades to the
-    /// sequential single-arena path.
     ///
     /// # Panics
-    /// Panics (debug) if `vertices` is not sorted and deduplicated.
-    pub fn recompute_vertices_parallel(
+    /// Panics if `arenas` is empty, and (debug) if more than one arena is
+    /// given and `vertices` is not sorted and deduplicated.
+    pub fn recompute_vertices(
         &mut self,
         g: &SocialNetwork,
         vertices: &[VertexId],
         arenas: &mut [MaintenanceArena],
     ) {
-        debug_assert!(
-            vertices.windows(2).all(|w| w[0] < w[1]),
-            "affected set must be sorted and deduplicated"
-        );
+        assert!(!arenas.is_empty(), "a refresh needs at least one arena");
         if vertices.is_empty() {
             return;
         }
-        if arenas.len() <= 1 || vertices.len() < arenas.len() {
-            match arenas.first_mut() {
-                Some(arena) => self.recompute_vertices_with(g, vertices, arena),
-                None => self.recompute_vertices(g, vertices),
+        let ctx = EngineCtx {
+            g,
+            config: &self.config,
+            edge_supports: &self.edge_supports,
+        };
+        let stride = self.config.r_max as usize * self.config.thresholds.len();
+        if let [arena] = arenas {
+            let seed_bounds = self.seed_bounds.to_mut();
+            for &v in vertices {
+                let mut chunk = self.table.entity_mut(v.index());
+                precompute_vertex_into(&ctx, v, &mut arena.scratch, &mut chunk, 0);
+                let row = &mut seed_bounds[v.index() * stride..(v.index() + 1) * stride];
+                seed_bounds_vertex_into(g, ctx.config, &mut arena.scratch, v, row);
             }
             return;
         }
+        debug_assert!(
+            vertices.windows(2).all(|w| w[0] < w[1]),
+            "a batch split across arenas must be sorted and deduplicated"
+        );
         let per = vertices.len().div_ceil(arenas.len());
         let parts: Vec<&[VertexId]> = vertices.chunks(per).collect();
         let ranges: Vec<(usize, usize)> = parts
             .iter()
             .map(|p| (p[0].index(), p[p.len() - 1].index() + 1))
             .collect();
-        let ctx = EngineCtx {
-            g,
-            config: &self.config,
-            edge_supports: &self.edge_supports,
-            signatures: SigSource::WorkerLocal {
-                bits: self.config.signature_bits,
-            },
-        };
-        let stride = self.config.r_max as usize * self.config.thresholds.len();
         let chunks = self.table.ranges_mut(&ranges);
         let mut seed_rest = self.seed_bounds.to_mut().as_mut_slice();
         let mut seed_slices: Vec<&mut [f64]> = Vec::with_capacity(ranges.len());
@@ -929,37 +628,6 @@ impl PrecomputedData {
                 });
             }
         });
-    }
-
-    fn recompute_vertices_into(
-        &mut self,
-        g: &SocialNetwork,
-        vertices: &[VertexId],
-        scratch: &mut WorkerScratch,
-    ) {
-        if vertices.is_empty() {
-            return;
-        }
-        // Rows are hashed once on first touch and replayed from the sparse
-        // scratch afterwards, so the batch pays O(ball cover) however large
-        // it is — the old full-table rebuild paid O(n·|W|) per refresh.
-        let ctx = EngineCtx {
-            g,
-            config: &self.config,
-            edge_supports: &self.edge_supports,
-            signatures: SigSource::WorkerLocal {
-                bits: self.config.signature_bits,
-            },
-        };
-        let table = &mut self.table;
-        let seed_bounds = self.seed_bounds.to_mut();
-        let stride = self.config.r_max as usize * self.config.thresholds.len();
-        for &v in vertices {
-            let mut chunk = table.entity_mut(v.index());
-            precompute_vertex_into(&ctx, v, scratch, &mut chunk, 0);
-            let row = &mut seed_bounds[v.index() * stride..(v.index() + 1) * stride];
-            seed_bounds_vertex_into(ctx.g, ctx.config, scratch, v, row);
-        }
     }
 
     /// Patches `edge_supports` after the edge `{u, v}` (id `e`) has been
@@ -1037,48 +705,13 @@ struct EngineCtx<'a> {
     g: &'a SocialNetwork,
     config: &'a PrecomputeConfig,
     edge_supports: &'a [u32],
-    signatures: SigSource<'a>,
-}
-
-/// Where the engine reads member signatures from. Both variants set exactly
-/// the bits `BitVector::from_keywords` would — they share the hash behind
-/// [`icde_graph::bitvec::keyword_bit_position`] — so the choice is purely a
-/// cost trade: the flat table costs O(n·|W|) to build once and O(words) per
-/// member read; hashing on the fly costs O(|W|) per member read with no
-/// setup at all.
-enum SigSource<'a> {
-    /// Per-graph flat table, built once (the unsharded bulk build, where
-    /// every worker visits most of the graph anyway).
-    Table(&'a SignatureTable),
-    /// Each worker caches rows in its own sparse [`SignatureScratch`]
-    /// (`WorkerScratch::sig`): hash on first touch, replay afterwards, pay
-    /// memory only for the vertices the worker's balls actually cover (the
-    /// sharded build and the maintenance paths, where an O(n·|W|) table
-    /// build would dwarf the O(ball-cover) work itself).
-    WorkerLocal { bits: usize },
-}
-
-/// ORs the signature row of member `v` into the scratch accumulator through
-/// whichever source the engine is running with. Every arm sets exactly the
-/// bits `BitVector::from_keywords` would, so the choice never shows in the
-/// output.
-#[inline]
-fn or_member_sig(ctx: &EngineCtx<'_>, scratch: &mut WorkerScratch, v: VertexId) {
-    let WorkerScratch { sig, sig_acc, .. } = scratch;
-    match &ctx.signatures {
-        SigSource::Table(table) => table.or_into(v, sig_acc),
-        SigSource::WorkerLocal { bits } => {
-            sig.ensure(ctx.g.num_vertices(), *bits);
-            sig.or_row_into(ctx.g, v, sig_acc);
-        }
-    }
 }
 
 /// Per-worker reusable scratch: two traversal workspaces (the BFS one keeps
 /// its epoch-stamped distance array valid across all radii while the
 /// influence one churns through the expansions), the BFS-order buffer, the
-/// signature accumulator and the sparse signature row cache of the
-/// worker-local source. Nothing here is allocated per vertex.
+/// signature accumulator and the sparse signature row cache. Nothing here is
+/// allocated per vertex.
 #[derive(Default)]
 struct WorkerScratch {
     ws_bfs: TraversalWorkspace,
@@ -1091,23 +724,20 @@ struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    fn new(config: &PrecomputeConfig) -> Self {
-        WorkerScratch {
-            ws_bfs: TraversalWorkspace::new(),
-            ws_inf: TraversalWorkspace::new(),
-            order: Vec::new(),
-            members: Vec::new(),
-            sig_acc: vec![0; config.signature_bits.div_ceil(64)],
-            sig: SignatureScratch::new(),
-        }
+    /// Readies the signature row cache for `g` and zeroes the accumulator at
+    /// `bits` width (a default scratch starts with an empty one).
+    fn reset_signature(&mut self, g: &SocialNetwork, bits: usize) {
+        self.sig.ensure(g.num_vertices(), bits);
+        self.sig_acc.clear();
+        self.sig_acc.resize(bits.div_ceil(64), 0);
     }
 
-    /// Zeroes the signature accumulator, growing or shrinking it to `words`
-    /// first — so one scratch can serve configs of different widths (the
-    /// thread-local maintenance scratch outlives any single config).
-    fn reset_sig_acc(&mut self, words: usize) {
-        self.sig_acc.clear();
-        self.sig_acc.resize(words, 0);
+    /// ORs member `v`'s signature row into the accumulator: exactly the bits
+    /// `BitVector::from_keywords` would set, hashed on the worker's first
+    /// touch of `v` and replayed from the row cache afterwards.
+    #[inline]
+    fn or_member_sig(&mut self, g: &SocialNetwork, v: VertexId) {
+        self.sig.or_row_into(g, v, &mut self.sig_acc);
     }
 
     /// Resident bytes this scratch currently pins: workspace lane pages and
@@ -1130,9 +760,9 @@ impl WorkerScratch {
 /// The signature rows cached inside are keyed by vertex id and stay valid
 /// as long as the graph's *keyword sets* do; edge insertions, deletions and
 /// compaction never touch them, so an arena dedicated to one
-/// [`SocialNetwork`] never needs invalidation. Reusing one arena across
-/// different graphs is a logic error unless [`MaintenanceArena::invalidate`]
-/// is called in between.
+/// [`SocialNetwork`] never needs invalidation. Reusing one arena for a
+/// different graph with the same vertex count is a logic error; take a fresh
+/// arena instead.
 #[derive(Default)]
 pub struct MaintenanceArena {
     scratch: WorkerScratch,
@@ -1144,12 +774,6 @@ impl MaintenanceArena {
         Self::default()
     }
 
-    /// Drops the cached signature rows (required when re-targeting the
-    /// arena at a different graph, or after keyword sets change).
-    pub fn invalidate(&mut self) {
-        self.scratch.sig.invalidate();
-    }
-
     /// Number of signature rows currently cached.
     pub fn signature_rows_cached(&self) -> usize {
         self.scratch.sig.rows_cached()
@@ -1157,8 +781,7 @@ impl MaintenanceArena {
 
     /// Resident bytes the arena currently pins (workspace pages, signature
     /// arena, accumulators) — maintenance observability; compare against
-    /// the `n × ⌈bits/64⌉ × 8` signature table the pre-arena path rebuilt
-    /// per batch.
+    /// the `n × ⌈bits/64⌉ × 8` bytes of a full-graph signature table.
     pub fn resident_bytes(&self) -> usize {
         self.scratch.resident_bytes()
     }
@@ -1236,31 +859,64 @@ impl PrecomputeShadow {
     }
 }
 
-thread_local! {
-    /// Reusable scratch for the maintenance path: `recompute_vertices` may
-    /// be called once per update event, and a fresh scratch would pay the
-    /// O(n) workspace grow-and-zero on every call. Same re-entrancy
-    /// contract as [`icde_graph::workspace::with_thread_workspace`]: a
-    /// nested borrow falls back to a temporary.
-    static MAINTENANCE_SCRATCH: std::cell::RefCell<WorkerScratch> =
-        std::cell::RefCell::new(WorkerScratch::default());
+/// Entities per work-stealing chunk: small enough that a hub-heavy stretch
+/// of vertices cannot straggle one worker, large enough that the claim is
+/// free.
+fn chunk_entities(n: usize, workers: usize) -> usize {
+    (n / (workers * 16)).clamp(8, 512)
 }
 
-/// Runs `f` with this thread's shared maintenance [`WorkerScratch`].
-fn with_maintenance_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
-    MAINTENANCE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut WorkerScratch::default()),
+/// Runs `work` over every chunk on `workers` scoped threads, each with its
+/// own [`WorkerScratch`]. The chunks are grouped into one contiguous home
+/// range per worker: worker `w` drains range `w` first, then steals from
+/// ranges `w + 1, w + 2, …` in turn until every chunk is claimed, so a
+/// worker's scratch stays on one id range while no chunk waits on a
+/// straggler. Returns, per worker, its resident scratch bytes and the number
+/// of chunks it stole.
+fn run_claimed<C: Send>(
+    chunks: Vec<C>,
+    workers: usize,
+    work: impl Fn(&mut WorkerScratch, C) + Sync,
+) -> Vec<(usize, usize)> {
+    let total = chunks.len();
+    let home = |w: usize| w * total / workers..(w + 1) * total / workers;
+    let slots: Vec<Mutex<Option<C>>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let cursors: Vec<AtomicUsize> = (0..workers)
+        .map(|w| AtomicUsize::new(home(w).start))
+        .collect();
+    let (slots, cursors, work) = (&slots, &cursors, &work);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut scratch = WorkerScratch::default();
+                    let mut stolen = 0;
+                    for offset in 0..workers {
+                        let range = (w + offset) % workers;
+                        let end = home(range).end;
+                        loop {
+                            let i = cursors[range].fetch_add(1, Ordering::Relaxed);
+                            if i >= end {
+                                break;
+                            }
+                            let chunk = slots[i]
+                                .lock()
+                                .expect("chunk slot lock")
+                                .take()
+                                .expect("each chunk is claimed exactly once");
+                            work(&mut scratch, chunk);
+                            stolen += usize::from(offset != 0);
+                        }
+                    }
+                    (scratch.resident_bytes(), stolen)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("pre-computation worker panicked"))
+            .collect()
     })
-}
-
-/// Computes every entity of one claimed table chunk.
-fn process_chunk(ctx: &EngineCtx<'_>, chunk: &mut TableChunkMut<'_>, scratch: &mut WorkerScratch) {
-    let first = chunk.first_entity();
-    for local in 0..chunk.len() {
-        let v = VertexId::from_index(first + local);
-        precompute_vertex_into(ctx, v, scratch, chunk, local);
-    }
 }
 
 /// The engine inner loop: computes the aggregates of one vertex for every
@@ -1269,7 +925,7 @@ fn process_chunk(ctx: &EngineCtx<'_>, chunk: &mut TableChunkMut<'_>, scratch: &m
 /// One bounded BFS to `r_max` yields the region members in nondecreasing
 /// distance order, so radius `r`'s region is the prefix `order[..end_r]` and
 /// the *frontier* `order[start_r..end_r]` (distance exactly `r`) is the only
-/// new material: its signatures are OR-folded from the flat table, and the
+/// new material: its signatures are OR-folded from the row cache, and the
 /// support maximum scans only its incident edges whose other endpoint is
 /// already inside the region (`dist ≤ r` against the epoch-stamped BFS
 /// array). An edge `{u, w}` enters the region exactly when its deeper
@@ -1295,11 +951,11 @@ fn precompute_vertex_into(
         &mut scratch.order,
     );
 
-    scratch.reset_sig_acc(config.signature_bits.div_ceil(64));
+    scratch.reset_signature(ctx.g, config.signature_bits);
     let mut support = 0u32;
     // distance-0 "frontier": the centre itself (no incident region edges yet)
     if let Some(&(center, _)) = scratch.order.first() {
-        or_member_sig(ctx, scratch, center);
+        scratch.or_member_sig(ctx.g, center);
     }
     let mut end = usize::from(!scratch.order.is_empty());
     for r in 1..=config.r_max {
@@ -1309,7 +965,7 @@ fn precompute_vertex_into(
         }
         for idx in start..end {
             let u = scratch.order[idx].0;
-            or_member_sig(ctx, scratch, u);
+            scratch.or_member_sig(ctx.g, u);
             for (n, e) in ctx.g.neighbors(u) {
                 match scratch.ws_bfs.dist(n) {
                     Some(d) if d <= r => {
@@ -1334,86 +990,32 @@ fn precompute_vertex_into(
 
 /// Computes the flat seed-bound table for every vertex (layout: see the
 /// [`PrecomputedData::seed_bounds`] field docs), spread over `workers`
-/// threads with the same shard-affine work-stealing claim as the table
-/// pass: the flat array is cut at shard boundaries first, chunks within a
-/// shard go to its home workers before anyone steals, so a worker's
-/// traversal pages stay resident on one id range. Each vertex is computed
-/// identically regardless of which worker claims it, so the result is
-/// deterministic across scheduling shapes.
+/// threads with the table pass's home-range work stealing
+/// ([`run_claimed`]). Each vertex is computed identically regardless of
+/// which worker claims it, so the result is the same for every worker count.
 fn compute_seed_bounds(
     g: &SocialNetwork,
     config: &PrecomputeConfig,
     workers: usize,
-    plan: &ShardPlan,
     stats: &mut EngineStats,
 ) -> Vec<f64> {
     let n = g.num_vertices();
     let stride = config.r_max as usize * config.thresholds.len();
     let mut bounds = vec![NO_SEED_COMMUNITY; n * stride];
-    if n == 0 {
-        return bounds;
-    }
-    if workers <= 1 {
-        let mut scratch = WorkerScratch::new(config);
-        for i in 0..n {
-            let v = VertexId::from_index(i);
-            let row = &mut bounds[i * stride..(i + 1) * stride];
-            seed_bounds_vertex_into(g, config, &mut scratch, v, row);
+    let per_chunk = chunk_entities(n, workers);
+    // one claimable chunk: (first vertex index, its slice of the table)
+    let chunks: Vec<(usize, &mut [f64])> = bounds
+        .chunks_mut(per_chunk * stride)
+        .enumerate()
+        .map(|(i, rows)| (i * per_chunk, rows))
+        .collect();
+    let per_worker = run_claimed(chunks, workers, |scratch, (first, rows)| {
+        for (local, row) in rows.chunks_mut(stride).enumerate() {
+            let v = VertexId::from_index(first + local);
+            seed_bounds_vertex_into(g, config, scratch, v, row);
         }
-        stats
-            .seed_worker_scratch_bytes
-            .push(scratch.resident_bytes());
-    } else {
-        let chunk_vertices = (n / (workers * 16)).clamp(8, 512);
-        // one claimable chunk: (first vertex index, its slice of the table)
-        type Chunk<'a> = Option<(usize, &'a mut [f64])>;
-        let mut queues: Vec<(AtomicUsize, Vec<Mutex<Chunk<'_>>>)> =
-            Vec::with_capacity(plan.num_shards());
-        let mut rest: &mut [f64] = &mut bounds;
-        for s in 0..plan.num_shards() {
-            let range = plan.range(s);
-            let (head, tail) = rest.split_at_mut(range.len() * stride);
-            rest = tail;
-            let slots = head
-                .chunks_mut(chunk_vertices * stride)
-                .enumerate()
-                .map(|(i, c)| Mutex::new(Some((range.start + i * chunk_vertices, c))))
-                .collect();
-            queues.push((AtomicUsize::new(0), slots));
-        }
-        let worker_bytes = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let worker_bytes = &worker_bytes;
-                scope.spawn(move || {
-                    let mut scratch = WorkerScratch::new(config);
-                    let home = w % queues.len();
-                    for offset in 0..queues.len() {
-                        let (next, slots) = &queues[(home + offset) % queues.len()];
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = slots.get(i) else { break };
-                            let (first, rows) = slot
-                                .lock()
-                                .expect("seed-bound slot lock")
-                                .take()
-                                .expect("each seed-bound chunk is claimed exactly once");
-                            for (local, row) in rows.chunks_mut(stride).enumerate() {
-                                let v = VertexId::from_index(first + local);
-                                seed_bounds_vertex_into(g, config, &mut scratch, v, row);
-                            }
-                        }
-                    }
-                    worker_bytes
-                        .lock()
-                        .expect("worker byte lock")
-                        .push(scratch.resident_bytes());
-                });
-            }
-        });
-        stats.seed_worker_scratch_bytes = worker_bytes.into_inner().expect("worker byte lock");
-    }
+    });
+    stats.seed_worker_scratch_bytes = per_worker.into_iter().map(|(bytes, _)| bytes).collect();
     bounds
 }
 
@@ -1592,107 +1194,21 @@ mod tests {
             },
         );
         // every scheduling shape must write the exact same table: the
-        // default-parallel build, a pinned worker count that forces many
-        // stolen chunks, and `--threads 1` through `num_threads`
-        for config in [
-            PrecomputeConfig {
-                parallel: true,
-                ..Default::default()
-            },
-            PrecomputeConfig::default().with_num_threads(Some(3)),
-            PrecomputeConfig::default().with_num_threads(Some(1)),
-            PrecomputeConfig {
-                parallel: false,
-                ..Default::default()
-            }
-            .with_num_threads(Some(5)),
-        ] {
+        // default-parallel build, `--threads 1` through `num_threads`, and
+        // pinned worker counts up to and past n, whose home ranges shrink
+        // below one work-stealing chunk until most workers only steal
+        let pinned = [1, 2, 3, 4, 5, 7, 16, 120, 500]
+            .map(|w| PrecomputeConfig::default().with_num_threads(Some(w)));
+        for config in [PrecomputeConfig::default()].into_iter().chain(pinned) {
             let par = PrecomputedData::compute(&g, config);
             assert_eq!(seq.edge_supports, par.edge_supports);
             assert_eq!(seq.num_vertices(), par.num_vertices());
             // the engine computes each vertex identically regardless of which
             // worker claims it, so even the float scores are bit-identical
             assert_eq!(seq.table(), par.table());
+            assert_eq!(seq.table().max_score_delta(par.table()), 0.0);
             assert_eq!(seq.seed_bounds(), par.seed_bounds());
         }
-    }
-
-    #[test]
-    fn contiguous_shard_plan_covers_the_id_space() {
-        let plan = ShardPlan::contiguous(10, 4);
-        assert_eq!(plan.num_shards(), 4);
-        assert_eq!(
-            (0..4).map(|s| plan.range(s)).collect::<Vec<_>>(),
-            vec![0..3, 3..6, 6..8, 8..10]
-        );
-        // clamped to n, and an empty graph still yields one (empty) shard
-        assert_eq!(ShardPlan::contiguous(3, 100).num_shards(), 3);
-        let empty = ShardPlan::contiguous(0, 5);
-        assert_eq!(empty.num_shards(), 1);
-        assert_eq!(empty.range(0), 0..0);
-
-        let explicit = ShardPlan::from_interior_boundaries(10, &[1, 9]).unwrap();
-        assert_eq!(explicit.num_shards(), 3);
-        assert_eq!(explicit.range(1), 1..9);
-        assert!(ShardPlan::from_interior_boundaries(10, &[0]).is_err());
-        assert!(ShardPlan::from_interior_boundaries(10, &[10]).is_err());
-        assert!(ShardPlan::from_interior_boundaries(10, &[4, 4]).is_err());
-    }
-
-    #[test]
-    fn sharded_builds_are_bit_identical_to_the_unsharded_engine() {
-        let g = small_graph();
-        let unsharded = PrecomputedData::compute(
-            &g,
-            PrecomputeConfig {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        // shard counts around the worker count, above it, and degenerate
-        for (shards, threads) in [(2, 3), (4, 2), (7, 7), (16, 1), (120, 4)] {
-            let (sharded, stats) = PrecomputedData::compute_with_stats(
-                &g,
-                PrecomputeConfig::default()
-                    .with_num_threads(Some(threads))
-                    .with_num_shards(Some(shards)),
-            );
-            assert_eq!(stats.shards, shards.min(g.num_vertices()));
-            assert_eq!(sharded.edge_supports, unsharded.edge_supports);
-            // every vertex's computation is self-contained, so even float
-            // scores are bit-identical across shard shapes
-            assert_eq!(sharded.table(), unsharded.table());
-            assert_eq!(sharded.seed_bounds(), unsharded.seed_bounds());
-            assert_eq!(
-                sharded.table().structural_fingerprint(),
-                unsharded.table().structural_fingerprint()
-            );
-            assert_eq!(sharded.table().max_score_delta(unsharded.table()), 0.0);
-        }
-    }
-
-    #[test]
-    fn uneven_explicit_shard_plans_agree_too() {
-        let g = small_graph();
-        let n = g.num_vertices();
-        let baseline = PrecomputedData::compute(
-            &g,
-            PrecomputeConfig {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        // a lopsided plan: shards smaller than one work-stealing chunk next
-        // to one holding almost the whole graph
-        let plan = ShardPlan::from_interior_boundaries(n, &[2, 5, n - 1]).unwrap();
-        let (sharded, stats) = PrecomputedData::compute_with_plan(
-            &g,
-            PrecomputeConfig::default().with_num_threads(Some(3)),
-            &plan,
-        );
-        assert_eq!(stats.shards, 4);
-        assert_eq!(sharded.table(), baseline.table());
-        assert_eq!(sharded.seed_bounds(), baseline.seed_bounds());
     }
 
     #[test]
@@ -1700,30 +1216,14 @@ mod tests {
         let g = small_graph();
         let (_, stats) = PrecomputedData::compute_with_stats(
             &g,
-            PrecomputeConfig::default()
-                .with_num_threads(Some(4))
-                .with_num_shards(Some(4)),
+            PrecomputeConfig::default().with_num_threads(Some(4)),
         );
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.table_worker_scratch_bytes.len(), 4);
         assert_eq!(stats.seed_worker_scratch_bytes.len(), 4);
         assert_eq!(stats.stolen_chunks.len(), 4);
-        assert_eq!(
-            stats.shared_signature_bytes, 0,
-            "sharded build shares no table"
-        );
         assert!(stats.table_worker_scratch_bytes.iter().all(|&b| b > 0));
         assert!(stats.naive_scratch_bytes > 0);
-        // the unsharded build pins the full-graph signature table instead
-        let (_, mono) = PrecomputedData::compute_with_stats(
-            &g,
-            PrecomputeConfig::default().with_num_threads(Some(2)),
-        );
-        assert_eq!(mono.shards, 1);
-        assert_eq!(
-            mono.shared_signature_bytes,
-            g.num_vertices() * 2 * std::mem::size_of::<u64>()
-        );
     }
 
     #[test]
@@ -1736,17 +1236,17 @@ mod tests {
         };
         let fresh = PrecomputedData::compute(&g, config.clone());
         let mut stale = PrecomputedData::compute(&g, config);
-        let mut arena = MaintenanceArena::new();
+        let mut arenas = [MaintenanceArena::new()];
         let victims: Vec<VertexId> = (0..10).map(VertexId::from_index).collect();
-        stale.recompute_vertices_with(&g, &victims, &mut arena);
+        stale.recompute_vertices(&g, &victims, &mut arenas);
         assert_eq!(stale.table(), fresh.table());
         assert_eq!(stale.seed_bounds(), fresh.seed_bounds());
-        let cached = arena.signature_rows_cached();
+        let cached = arenas[0].signature_rows_cached();
         assert!(cached > 0, "arena caches the touched balls");
-        assert!(arena.resident_bytes() > 0);
+        assert!(arenas[0].resident_bytes() > 0);
         // a second batch over the same balls re-hashes nothing
-        stale.recompute_vertices_with(&g, &victims, &mut arena);
-        assert_eq!(arena.signature_rows_cached(), cached);
+        stale.recompute_vertices(&g, &victims, &mut arenas);
+        assert_eq!(arenas[0].signature_rows_cached(), cached);
         assert_eq!(stale.table(), fresh.table());
     }
 
@@ -1941,7 +1441,7 @@ mod tests {
         for v in victims {
             stale.seed_bounds.to_mut()[v.index() * stride..(v.index() + 1) * stride].fill(9999.0);
         }
-        stale.recompute_vertices(&g, &victims);
+        stale.recompute_vertices(&g, &victims, &mut [MaintenanceArena::new()]);
         assert_eq!(stale.seed_bounds(), reference.seed_bounds());
     }
 

@@ -9,7 +9,7 @@
 use crate::error::{CoreError, CoreResult};
 use icde_graph::snapshot::{fnv1a, fnv1a_extend};
 use icde_graph::{BitVector, KeywordSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Largest result size `L` a canonical query may request.
 /// [`TopLQuery::canonicalize`] clamps `l` here so one pathological query
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_RESULT_SIZE: usize = 1 << 16;
 
 /// Parameters of one TopL-ICDE query (Definition 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TopLQuery {
     /// Query keyword set `Q`; every seed-community member must contain at
     /// least one of these keywords.
@@ -91,9 +91,9 @@ impl TopLQuery {
     /// identical answers and identical [`TopLQuery::canonical_fingerprint`]s.
     pub fn canonicalize(&self) -> CoreResult<TopLQuery> {
         let mut q = self.clone();
-        // `KeywordSet` sorts and de-duplicates on construction, so this is a
-        // defensive re-normalisation: it matters only for sets produced by
-        // paths that bypass the constructors (e.g. hand-edited JSON).
+        // every `KeywordSet` constructor sorts and de-duplicates, so this
+        // re-normalisation is defensive: the normal form the cache key relies
+        // on stays a property of this function, not of every constructor.
         q.keywords = q.keywords.iter().collect();
         q.l = q.l.min(MAX_RESULT_SIZE);
         q.validate()?;

@@ -19,11 +19,11 @@ use icde_graph::traversal::{bfs_within_into, hop_distances_within_subset};
 use icde_graph::workspace::{with_thread_workspace, TraversalWorkspace};
 use icde_graph::{KeywordSet, SocialNetwork, VertexId, VertexSubset};
 use icde_truss::ktruss::{maximal_ktruss, KTrussPeel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::RefCell;
 
 /// A fully-refined seed community together with its influential score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SeedCommunity {
     /// The centre vertex `v_q`.
     pub center: VertexId,

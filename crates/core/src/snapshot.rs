@@ -226,9 +226,8 @@ pub fn index_from_snapshot(snap: &Snapshot) -> SnapshotResult<CommunityIndex> {
         thresholds,
         signature_bits: usize_from(meta.signature_bits, "signature width")?,
         parallel: meta.parallel != 0,
-        // runtime knobs, not data: never persisted in the binary format
+        // a runtime knob, not data: never persisted in the binary format
         num_threads: None,
-        num_shards: None,
     };
 
     let num_vertices = usize_from(meta.num_vertices, "vertex count")?;

@@ -6,11 +6,11 @@
 //! rule, the index entries and candidate centres that were discarded without
 //! refinement.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::AddAssign;
 
 /// Counters describing how much work one query avoided (or performed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PruningStats {
     /// Index entries (non-leaf) pruned by the keyword rule (Lemma 5).
     pub index_keyword_pruned: usize,

@@ -14,8 +14,8 @@
 //! 3. recomputes the per-vertex aggregates of the **affected balls only**
 //!    (`hop(u, r_max + slack) ∪ hop(v, r_max + slack)` per update) — fanned
 //!    out over a pool of warm [`MaintenanceArena`]s via
-//!    [`PrecomputedData::recompute_vertices_parallel`] once the deduplicated
-//!    ball grows past [`PARALLEL_BATCH_MIN`],
+//!    `PrecomputedData::recompute_vertices` once the deduplicated ball
+//!    grows past [`PARALLEL_BATCH_MIN`],
 //! 4. compacts the overlay back into a fresh CSR once it exceeds the
 //!    configured fraction of the base edge count, applying the returned
 //!    edge-id remap to the supports, and
@@ -431,22 +431,17 @@ impl StreamingMaintainer {
             .precomputed
             .config
             .worker_count(self.graph.num_vertices());
-        if self.affected.len() >= PARALLEL_BATCH_MIN && workers > 1 {
+        let arenas = if self.affected.len() >= PARALLEL_BATCH_MIN && workers > 1 {
             while self.arenas.len() < workers {
                 self.arenas.push(MaintenanceArena::new());
             }
-            index.precomputed.recompute_vertices_parallel(
-                &self.graph,
-                &self.affected,
-                &mut self.arenas[..workers],
-            );
+            &mut self.arenas[..workers]
         } else {
-            index.precomputed.recompute_vertices_with(
-                &self.graph,
-                &self.affected,
-                &mut self.arenas[0],
-            );
-        }
+            &mut self.arenas[..1]
+        };
+        index
+            .precomputed
+            .recompute_vertices(&self.graph, &self.affected, arenas);
         self.stats.ball_recompute_secs += t.elapsed().as_secs_f64();
         self.stats.vertices_recomputed += self.affected.len() as u64;
         self.stats.batches += 1;
@@ -700,7 +695,7 @@ impl Drop for UpdateFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precompute::PrecomputeConfig;
+    use crate::precompute::{PrecomputeConfig, PrecomputedData};
     use crate::query::TopLQuery;
     use crate::serving::ServingConfig;
     use crate::topl::TopLProcessor;
@@ -1004,11 +999,10 @@ mod tests {
         assert_eq!(answer_bits(&live), answer_bits(&reference));
     }
 
-    /// Regression (issue 9 satellite): maintenance used to rebuild a full
-    /// `SignatureTable::for_graph` — an O(n·words) allocation — on every
-    /// refresh. The maintainer now owns a ball-cover-sized arena whose
-    /// signature rows survive across batches: a second batch over the same
-    /// region re-hashes nothing and allocates no new rows.
+    /// The maintainer owns a ball-cover-sized arena whose signature rows
+    /// survive across batches instead of hashing an O(n·words) full-graph
+    /// signature table per refresh: a second batch over the same region
+    /// re-hashes nothing and allocates no new rows.
     #[test]
     fn recompute_arena_stays_warm_across_batches() {
         let (g, index) = setup(150, 35);
@@ -1061,29 +1055,42 @@ mod tests {
     }
 
     /// The refresh stays local: one insertion into a 600-vertex graph
-    /// recomputes the endpoints' balls, not the whole graph.
+    /// recomputes the endpoints' balls, not the whole graph. The ball is at
+    /// least [`PARALLEL_BATCH_MIN`] vertices, so with more than one worker it
+    /// is split across arenas, and every split must write what a
+    /// from-scratch build writes.
     #[test]
     fn refresh_touches_only_a_fraction_on_larger_graphs() {
         let g = DatasetSpec::new(DatasetKind::Uniform, 600, 4)
             .with_keyword_domain(10)
             .generate();
-        // weights in [0.5, 0.6) and θ_min = 0.4 give a one-hop influence
-        // slack, so each endpoint ball has radius r_max + 1 = 3
-        let index =
-            IndexBuilder::new(PrecomputeConfig::new(2, vec![0.4]).with_parallel(false)).build(&g);
         let (u, v) = missing_edge(&g);
-        let mut maintainer = StreamingMaintainer::new(g, index);
-        maintainer.apply_batch(&[EdgeUpdate::Insert {
-            u,
-            v,
-            p_uv: 0.55,
-            p_vu: 0.55,
-        }]);
-        let recomputed = maintainer.stats().vertices_recomputed;
-        assert!(
-            recomputed > 0 && recomputed < 300,
-            "recomputed {recomputed} of 600"
-        );
+        for workers in 1..=3 {
+            // weights in [0.5, 0.6) and θ_min = 0.4 give a one-hop influence
+            // slack, so each endpoint ball has radius r_max + 1 = 3
+            let config = PrecomputeConfig::new(2, vec![0.4]).with_num_threads(Some(workers));
+            let index = IndexBuilder::new(config.clone()).build(&g);
+            let mut maintainer = StreamingMaintainer::new(g.clone(), index);
+            maintainer.apply_batch(&[EdgeUpdate::Insert {
+                u,
+                v,
+                p_uv: 0.55,
+                p_vu: 0.55,
+            }]);
+            let recomputed = maintainer.stats().vertices_recomputed;
+            assert!(
+                recomputed >= PARALLEL_BATCH_MIN as u64 && recomputed < 300,
+                "recomputed {recomputed} of 600"
+            );
+            let scratch = PrecomputedData::compute(maintainer.graph(), config);
+            let refreshed = &maintainer.index().precomputed;
+            assert_eq!(refreshed.table(), scratch.table(), "{workers} workers");
+            assert_eq!(
+                refreshed.seed_bounds(),
+                scratch.seed_bounds(),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

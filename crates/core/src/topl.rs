@@ -32,14 +32,14 @@ use crate::seed::{extract_seed_community, SeedCommunity};
 use crate::stats::PruningStats;
 use icde_graph::{SocialNetwork, VertexId};
 use icde_influence::{InfluenceConfig, InfluenceEvaluator};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// Enables/disables individual pruning rules — the knob behind the ablation
 /// study of Figure 4. All rules are enabled by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PruningToggles {
     /// Keyword pruning (Lemmas 1 and 5).
     pub keyword: bool,
@@ -94,7 +94,7 @@ impl PruningToggles {
 }
 
 /// The result of one TopL-ICDE query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TopLAnswer {
     /// Top-`L` seed communities in descending influential-score order. May
     /// contain fewer than `L` entries when the graph does not host `L`

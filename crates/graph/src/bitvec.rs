@@ -250,104 +250,6 @@ impl<'a> SignatureRef<'a> {
     }
 }
 
-/// A per-graph flat signature table: the keyword signature of every vertex,
-/// stored as one contiguous `n × ⌈bits/64⌉` word array built once.
-///
-/// The offline pre-computation ORs member signatures into region aggregates
-/// for every `(vertex, radius)` pair; hashing each member's keyword set into
-/// a fresh [`BitVector`] there meant one heap allocation *per member per
-/// region* (hundreds of millions on a 50k graph). A [`SignatureTable`] pays
-/// the hashing once and hands out borrowed word rows, so aggregation is a
-/// branch-free word-OR over flat memory with no per-member allocation.
-///
-/// Rows are bit-identical to `BitVector::from_keywords(g.keyword_set(v), bits)`
-/// — both go through the same [`hash_position`] — which the equivalence tests
-/// rely on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SignatureTable {
-    bits: u32,
-    words_per_row: usize,
-    words: Vec<u64>,
-}
-
-impl SignatureTable {
-    /// Hashes every vertex keyword set of `g` into a flat table of `bits`-bit
-    /// signatures.
-    ///
-    /// # Panics
-    /// Panics if `bits` is zero.
-    pub fn for_graph(g: &crate::graph::SocialNetwork, bits: usize) -> Self {
-        assert!(bits > 0, "bit vector width must be positive");
-        let words_per_row = bits.div_ceil(64);
-        let n = g.num_vertices();
-        let mut words = vec![0u64; n * words_per_row];
-        for v in g.vertices() {
-            let start = v.index() * words_per_row;
-            let row = &mut words[start..start + words_per_row];
-            for kw in g.keyword_set(v).iter() {
-                let pos = hash_position(bits as u32, kw);
-                row[pos / 64] |= 1u64 << (pos % 64);
-            }
-        }
-        SignatureTable {
-            bits: bits as u32,
-            words_per_row,
-            words,
-        }
-    }
-
-    /// Signature width in bits.
-    #[inline]
-    pub fn num_bits(&self) -> usize {
-        self.bits as usize
-    }
-
-    /// Number of vertex rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        // words_per_row ≥ 1: the constructor rejects zero-width signatures
-        self.words.len() / self.words_per_row
-    }
-
-    /// Returns `true` if the table holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// The raw word row of vertex `v`.
-    ///
-    /// # Panics
-    /// Panics if `v` is outside the table.
-    #[inline]
-    pub fn row(&self, v: VertexId) -> &[u64] {
-        let start = v.index() * self.words_per_row;
-        &self.words[start..start + self.words_per_row]
-    }
-
-    /// The signature of vertex `v` as a borrowed [`SignatureRef`].
-    #[inline]
-    pub fn signature(&self, v: VertexId) -> SignatureRef<'_> {
-        SignatureRef {
-            bits: self.bits,
-            words: self.row(v),
-        }
-    }
-
-    /// ORs vertex `v`'s signature row into `acc` (the aggregation primitive
-    /// of the frontier-incremental offline phase — no allocation, no branch
-    /// per bit).
-    ///
-    /// # Panics
-    /// Panics if `acc` is narrower than one row.
-    #[inline]
-    pub fn or_into(&self, v: VertexId, acc: &mut [u64]) {
-        for (a, w) in acc.iter_mut().zip(self.row(v)) {
-            *a |= *w;
-        }
-    }
-}
-
 /// Log2 of the page size of the scratch's vertex→slot map: 256 entries.
 const SIG_PAGE_BITS: usize = 8;
 /// Entries per map page.
@@ -372,22 +274,23 @@ impl SigMapPage {
     }
 }
 
-/// An epoch-stamped sparse signature arena: the shard-local replacement for
-/// a full-graph [`SignatureTable`].
+/// An epoch-stamped sparse signature arena: the keyword signatures of the
+/// vertices one worker touches.
 ///
-/// A [`SignatureTable`] hashes *every* vertex of the graph up front —
-/// `n × ⌈bits/64⌉` words — which is the right trade for a build that will
-/// visit every vertex, but a shard worker only ever touches the vertices
-/// inside its shard's r_max ball cover, and the streaming maintainer only
-/// the balls around an update batch. This scratch hashes a vertex's keyword
-/// set on **first touch**, caches the row in a dense-packed grow-only arena
-/// (id-remapped through a lazily-paged vertex→slot map) and replays the
-/// cached row on every later touch, so resident bytes track the touched
-/// set, not `n`.
+/// Region aggregation ORs member signatures for every `(vertex, radius)`
+/// pair; hashing each member's keyword set into a fresh [`BitVector`] there
+/// would cost one heap allocation per member per region. An offline-build
+/// worker only ever touches the r_max ball cover of its vertex range, and
+/// the streaming maintainer only the balls around an update batch. This
+/// scratch hashes a vertex's keyword set on **first touch**, caches the row
+/// in a dense-packed grow-only arena (id-remapped through a lazily-paged
+/// vertex→slot map) and replays the cached row on every later touch, so
+/// aggregation is a word-OR with no per-member allocation and resident
+/// bytes track the touched set, not `n`.
 ///
-/// Rows go through the same [`keyword_bit_position`] hash as every other
-/// signature formulation, so aggregates built through the scratch are
-/// bit-identical to the table and on-the-fly paths.
+/// Rows go through the same hash `f(w)` as every other signature
+/// formulation, so aggregates built through the scratch are bit-identical
+/// to `BitVector::from_keywords`.
 ///
 /// Keyword sets are immutable under edge updates and compaction, so a
 /// scratch owned by a maintainer stays warm across update batches with no
@@ -500,10 +403,9 @@ impl SignatureScratch {
             // the region may hold residue from before an invalidation (or a
             // reshape that left a partially-stale prefix) — zero it always
             self.rows[start..start + self.words_per_row].fill(0);
-            let bits = self.bits as usize;
             let row = &mut self.rows[start..start + self.words_per_row];
             for kw in g.keyword_set(v).iter() {
-                let pos = keyword_bit_position(bits, kw);
+                let pos = hash_position(self.bits, kw);
                 row[pos / 64] |= 1u64 << (pos % 64);
             }
             slot
@@ -523,8 +425,8 @@ impl SignatureScratch {
     }
 
     /// Resident bytes of the scratch: allocated map pages plus the row
-    /// arena. The bench compares this against the `n × ⌈bits/64⌉ × 8` a
-    /// full [`SignatureTable`] would pin per worker.
+    /// arena, against the `n × ⌈bits/64⌉ × 8` a full-graph signature table
+    /// would pin.
     pub fn allocated_bytes(&self) -> usize {
         self.map.iter().flatten().count() * std::mem::size_of::<SigMapPage>()
             + self.map.capacity() * std::mem::size_of::<Option<Box<SigMapPage>>>()
@@ -532,21 +434,8 @@ impl SignatureScratch {
     }
 }
 
-/// The bit position keyword `kw` occupies in a `bits`-wide signature — the
-/// shared hash `f(w)` behind [`BitVector`], [`SignatureRef`] and
-/// [`SignatureTable`], exposed so callers that OR keyword sets into raw word
-/// buffers (the offline engine's small-batch maintenance path) stay
-/// bit-identical to the owned/table formulations.
-///
-/// # Panics
-/// Panics if `bits` is zero.
-#[inline]
-pub fn keyword_bit_position(bits: usize, kw: Keyword) -> usize {
-    assert!(bits > 0, "bit vector width must be positive");
-    hash_position(bits as u32, kw)
-}
-
-/// The hash function `f(w)` shared by [`BitVector`] and [`SignatureRef`]:
+/// The hash function `f(w)` shared by [`BitVector`], [`SignatureRef`] and
+/// [`SignatureScratch`]:
 /// a 64-bit splitmix finaliser, so nearby keyword ids scatter across the
 /// signature instead of clustering in the low bits.
 #[inline]
@@ -639,38 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn signature_table_rows_match_from_keywords() {
-        let mut b = crate::builder::GraphBuilder::new();
-        for ids in [vec![1u32, 2], vec![], vec![7, 99, 1000], vec![3]] {
-            b.add_vertex(KeywordSet::from_ids(ids));
-        }
-        let g = b.build().unwrap();
-        for bits in [64usize, 128, 130] {
-            let table = SignatureTable::for_graph(&g, bits);
-            assert_eq!(table.len(), g.num_vertices());
-            assert_eq!(table.num_bits(), bits);
-            let mut acc = vec![0u64; bits.div_ceil(64)];
-            let mut reference = BitVector::zeros(bits);
-            for v in g.vertices() {
-                let owned = BitVector::from_keywords(g.keyword_set(v), bits);
-                assert_eq!(table.signature(v), owned, "vertex {v} bits {bits}");
-                assert_eq!(table.row(v), owned.words());
-                table.or_into(v, &mut acc);
-                reference.or_assign(&owned);
-            }
-            assert_eq!(&acc, reference.words());
-        }
-    }
-
-    #[test]
-    fn empty_graph_signature_table_is_empty() {
-        let g = crate::graph::SocialNetwork::new();
-        let table = SignatureTable::for_graph(&g, 128);
-        assert!(table.is_empty());
-        assert_eq!(table.len(), 0);
-    }
-
-    #[test]
     fn signature_scratch_matches_table_and_caches_rows() {
         let mut b = crate::builder::GraphBuilder::new();
         for ids in [vec![1u32, 2], vec![], vec![7, 99, 1000], vec![3], vec![42]] {
@@ -678,18 +535,16 @@ mod tests {
         }
         let g = b.build().unwrap();
         for bits in [64usize, 128, 130] {
-            let table = SignatureTable::for_graph(&g, bits);
             let mut scratch = SignatureScratch::new();
             scratch.ensure(g.num_vertices(), bits);
             let words = bits.div_ceil(64);
             for v in g.vertices() {
+                let owned = BitVector::from_keywords(g.keyword_set(v), bits);
                 // touch twice: first hashes, second replays the cached row
                 for _ in 0..2 {
                     let mut via_scratch = vec![0u64; words];
                     scratch.or_row_into(&g, v, &mut via_scratch);
-                    let mut via_table = vec![0u64; words];
-                    table.or_into(v, &mut via_table);
-                    assert_eq!(via_scratch, via_table, "vertex {v} bits {bits}");
+                    assert_eq!(via_scratch, owned.words(), "vertex {v} bits {bits}");
                 }
             }
             assert_eq!(scratch.rows_cached(), g.num_vertices());

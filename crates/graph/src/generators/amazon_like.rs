@@ -18,10 +18,10 @@ use crate::builder::GraphBuilder;
 use crate::graph::SocialNetwork;
 use crate::types::VertexId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the Amazon-like co-purchase generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AmazonLikeConfig {
     /// Number of products (vertices).
     pub num_vertices: usize,

@@ -16,10 +16,10 @@ use crate::builder::GraphBuilder;
 use crate::graph::SocialNetwork;
 use crate::types::VertexId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the DBLP-like co-authorship generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DblpLikeConfig {
     /// Number of authors (vertices).
     pub num_vertices: usize,

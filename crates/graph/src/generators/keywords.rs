@@ -9,10 +9,10 @@
 use crate::graph::SocialNetwork;
 use crate::keywords::{Keyword, KeywordSet};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Distribution of keyword popularity over the domain `Σ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum KeywordDistribution {
     /// Every keyword equally likely.
     Uniform,

@@ -28,11 +28,11 @@ pub use weights::{assign_uniform_weights, WeightRange};
 use crate::graph::SocialNetwork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The five dataset families used throughout the experiments (Table II and
 /// the synthetic `Uni`/`Gau`/`Zipf` graphs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DatasetKind {
     /// Small-world graph with uniformly distributed keywords.
     Uniform,
@@ -71,7 +71,7 @@ impl DatasetKind {
 
 /// Declarative description of a synthetic dataset: structure, keyword
 /// distribution and scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DatasetSpec {
     /// Which family of graph to generate.
     pub kind: DatasetKind,

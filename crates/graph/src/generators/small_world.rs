@@ -12,10 +12,10 @@ use crate::builder::GraphBuilder;
 use crate::graph::SocialNetwork;
 use crate::types::VertexId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the Newman–Watts–Strogatz generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SmallWorldConfig {
     /// Number of vertices.
     pub num_vertices: usize,
@@ -40,8 +40,9 @@ impl SmallWorldConfig {
     /// the paper's ring degree (`m = 6`) but only `µ = 0.0002` shortcuts, so
     /// an `r_max`-hop ball stays ring-sized instead of exploding through
     /// shortcut hubs. At `n = 10⁶` this still sprinkles ~600 shortcuts —
-    /// enough to exercise the cross-shard edges of a sharded offline build
-    /// while keeping per-ball work (and thus per-worker scratch) bounded.
+    /// enough to exercise the edges between the offline build's per-worker
+    /// vertex ranges while keeping per-ball work (and thus per-worker
+    /// scratch) bounded.
     pub fn locality(num_vertices: usize) -> Self {
         SmallWorldConfig {
             num_vertices,

@@ -8,11 +8,11 @@
 use crate::graph::SocialNetwork;
 use crate::types::Weight;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Half-open interval `[low, high)` from which activation probabilities are
 /// drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WeightRange {
     /// Inclusive lower bound.
     pub low: Weight,

@@ -9,7 +9,7 @@
 //! keyword domain `Σ` so that set intersection and the hashed
 //! [`crate::BitVector`] signatures are cheap.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -18,7 +18,7 @@ use std::fmt;
 /// The benchmark generators use `Σ = {0, 1, ..., |Σ|-1}`; applications that
 /// have human-readable topics can keep their own `String → Keyword` mapping
 /// (see [`KeywordInterner`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Keyword(pub u32);
 
 impl Keyword {
@@ -47,7 +47,7 @@ impl From<u32> for Keyword {
 /// uses 1–5 keywords per vertex) and queries use 2–10 keywords; linear scans
 /// beat hash sets at this size and the sorted order gives deterministic
 /// serialisation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct KeywordSet {
     keywords: Vec<Keyword>,
 }
@@ -182,7 +182,7 @@ impl fmt::Display for KeywordSet {
 ///
 /// Useful for applications (and the examples) that want to speak in topics
 /// like `"movies"` while the engine works on dense ids.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Serialize)]
 pub struct KeywordInterner {
     names: Vec<String>,
 }

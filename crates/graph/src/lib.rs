@@ -51,7 +51,7 @@ pub mod traversal;
 pub mod types;
 pub mod workspace;
 
-pub use bitvec::{BitVector, SignatureRef, SignatureScratch, SignatureTable};
+pub use bitvec::{BitVector, SignatureRef, SignatureScratch};
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{GraphParts, SocialNetwork};

@@ -360,11 +360,13 @@ impl Snapshot {
     /// checksum).
     pub fn from_region(region: Arc<MappedRegion>) -> SnapshotResult<Snapshot> {
         let bytes = region.bytes();
+        // a short file that is not even a prefix of the magic is no snapshot
+        let probe = bytes.len().min(SNAPSHOT_MAGIC.len());
+        if bytes[..probe] != SNAPSHOT_MAGIC[..probe] {
+            return Err(SnapshotError::BadMagic);
+        }
         if bytes.len() < HEADER_LEN {
             return Err(SnapshotError::Truncated);
-        }
-        if bytes[0..8] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
         }
         let version = read_u32_at(bytes, 8);
         if version != SNAPSHOT_VERSION {
@@ -598,6 +600,8 @@ mod tests {
         let mut bytes = sample();
         bytes[0] = b'X';
         assert!(matches!(open_bytes(&bytes), Err(SnapshotError::BadMagic)));
+        // a file shorter than the header is still judged by its magic first
+        assert!(matches!(open_bytes(b"hello"), Err(SnapshotError::BadMagic)));
     }
 
     #[test]
@@ -625,7 +629,14 @@ mod tests {
     fn truncation_is_rejected_at_every_length() {
         let bytes = sample();
         for len in 0..bytes.len() {
-            assert!(open_bytes(&bytes[..len]).is_err(), "prefix of {len} bytes");
+            let opened = open_bytes(&bytes[..len]);
+            assert!(opened.is_err(), "prefix of {len} bytes");
+            if len < HEADER_LEN {
+                assert!(
+                    matches!(opened, Err(SnapshotError::Truncated)),
+                    "prefix of {len} bytes"
+                );
+            }
         }
     }
 

@@ -9,10 +9,10 @@ use crate::graph::SocialNetwork;
 use crate::traversal::{bfs_within_with, connected_components};
 use crate::types::VertexId;
 use crate::workspace::with_thread_workspace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary statistics of one social network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GraphStatistics {
     /// Number of vertices `|V(G)|`.
     pub num_vertices: usize,

@@ -9,7 +9,7 @@
 
 use crate::graph::SocialNetwork;
 use crate::types::{EdgeId, VertexId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// An induced-subgraph vertex set: distinct vertices in ascending id order.
@@ -23,12 +23,6 @@ pub struct VertexSubset {
 impl Serialize for VertexSubset {
     fn to_value(&self) -> serde::Value {
         self.vertices.to_value()
-    }
-}
-
-impl Deserialize for VertexSubset {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Vec::<VertexId>::from_value(v).map(|ids| ids.into_iter().collect())
     }
 }
 

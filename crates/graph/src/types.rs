@@ -4,7 +4,7 @@
 //! be stored in flat vectors; edges are identified by the position of their
 //! canonical `(min, max)` endpoint pair in the edge table.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Dense identifier of a vertex in a [`crate::SocialNetwork`].
@@ -12,7 +12,7 @@ use std::fmt;
 /// Vertex ids are assigned contiguously from `0..n` when the graph is built,
 /// which lets every layer above (truss decomposition, pre-computation, the
 /// tree index) use plain `Vec` lookups instead of hash maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[repr(transparent)]
 pub struct VertexId(pub u32);
 
@@ -58,7 +58,7 @@ impl From<VertexId> for u32 {
 /// The id is the position of the edge in the canonical edge table (edges are
 /// stored once with `u < v`). Edge supports and trussness values are indexed
 /// by `EdgeId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[repr(transparent)]
 pub struct EdgeId(pub u32);
 

@@ -22,10 +22,10 @@
 
 use icde_graph::workspace::{with_thread_workspace, TraversalWorkspace};
 use icde_graph::{SocialNetwork, VertexId, VertexSubset, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of influence evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InfluenceConfig {
     /// Influence threshold `θ ∈ [0, 1)`: vertices with `cpp(g, v) < θ` are
     /// outside the influenced community.
@@ -55,7 +55,7 @@ impl Default for InfluenceConfig {
 
 /// The influenced community `g^Inf` of one seed community: every member's
 /// community-to-user propagation probability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InfluencedCommunity {
     /// `(v, cpp(g, v))` for every vertex of `g^Inf` in expansion
     /// (first-touch) order: the seed members first, at 1.0.

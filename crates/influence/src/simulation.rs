@@ -19,10 +19,10 @@
 use icde_graph::{SocialNetwork, VertexId, VertexSubset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of a Monte-Carlo IC estimation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpreadEstimate {
     /// Mean number of activated users (seed included) over all runs.
     pub mean_spread: f64,

@@ -23,7 +23,6 @@ fn main() {
         signature_bits: 128,
         parallel: true,
         num_threads: None,
-        num_shards: None,
     };
     let start = std::time::Instant::now();
     let index = IndexBuilder::new(config)
